@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import logging
 import platform
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,6 @@ from .metrics import build_report, classification_scores
 from .model import ModelBundle, ModelConfig, init_parameters, load_checkpoint
 from .text import Vocab, encode, pad_batch
 from .trainer import TrainPlan, build_shared_vocab, train
-from . import tensor as T
 
 log = logging.getLogger("emogen.cli")
 
@@ -240,6 +238,10 @@ def cmd_generate(checkpoint_path, input_path, output_path,
             f"vocab size {vocab.size} does not match checkpoint "
             f"vocab_size {model.config.vocab_size}"
         )
+    if max_len > model.config.max_len:
+        raise ConfigError(
+            f"--max-len {max_len} exceeds the checkpoint's max_len {model.config.max_len}"
+        )
     config = BeamConfig(
         beam_width=beam_width, max_len=max_len,
         no_repeat_ngram=no_repeat_ngram, length_penalty=length_penalty,
@@ -296,20 +298,15 @@ def cmd_evaluate(hyp_path, ref_path, out_path, pred_path=None, gold_path=None,
 def predict_labels(model: ModelBundle, spec: TaskSpec, examples, vocab: Vocab,
                    max_len: int, batch_size: int = 64) -> list[str]:
     """Argmax labels for a classification task over a list of examples."""
-    was_training = model.training
-    model.eval()
     out: list[str] = []
-    try:
-        with T.no_grad():
-            for start in range(0, len(examples), batch_size):
-                chunk = examples[start : start + batch_size]
-                seqs = [encode(ex.text, vocab, max_len) for ex in chunk]
-                enc_ids, enc_mask = pad_batch(seqs)
-                logits = model.forward_classification(enc_ids, enc_mask, spec.name)
-                for row in np.argmax(logits.data, axis=1):
-                    out.append(spec.labels[int(row)])
-    finally:
-        model.training = was_training
+    with model.evaluating():
+        for start in range(0, len(examples), batch_size):
+            chunk = examples[start : start + batch_size]
+            seqs = [encode(ex.text, vocab, max_len) for ex in chunk]
+            enc_ids, enc_mask = pad_batch(seqs)
+            logits = model.forward_classification(enc_ids, enc_mask, spec.name)
+            for row in np.argmax(logits.data, axis=1):
+                out.append(spec.labels[int(row)])
     return out
 
 
@@ -327,9 +324,7 @@ def evaluate_variant(model: ModelBundle, manifest: RunManifest, task_data,
     hyp = variant_dir / "test.hyp.txt"
     src.write_text("".join(ex.utterance + "\n" for ex in test_examples))
     ref.write_text("".join(ex.response + "\n" for ex in test_examples))
-    beam = replace(manifest.beam,
-                   max_len=min(manifest.beam.max_len, model.config.max_len))
-    generate_file(model, vocab, src, hyp, beam)
+    generate_file(model, vocab, src, hyp, manifest.beam)
     hyps = _read_lines(hyp)
     refs = _read_lines(ref)
     row = build_report(hyps, refs).to_dict()

@@ -60,6 +60,17 @@ def banned_tokens(ids: list[int], n: int) -> set[int]:
     return banned
 
 
+def top_candidates(scores: np.ndarray, limit: int) -> list[tuple[float, int, int]]:
+    """The ``limit`` best finite (score, token, beam) entries of a (beams, V) array.
+
+    Ordered by score descending, then token ascending, then beam ascending.
+    """
+    beams, tokens = np.nonzero(scores > NEG_INF)
+    values = scores[beams, tokens]
+    order = np.lexsort((beams, tokens, -values))[:limit]
+    return [(values[j], int(tokens[j]), int(beams[j])) for j in order]
+
+
 def _score(hyp: Hypothesis, length_penalty: float) -> float:
     gen_len = max(1, len(hyp.ids) - 1)
     return hyp.log_prob / (gen_len**length_penalty)
@@ -82,20 +93,12 @@ def beam_search(model, utterance: TokenSeq, config: BeamConfig) -> TokenSeq:
         last_live = live
         logits = model.next_token_logits(ctx, [h.ids for h in live])
         logp = _log_softmax_rows(np.asarray(logits, dtype=np.float64))
-        n_beams, vocab = logp.shape
         scores = logp + np.array([[h.log_prob] for h in live])
         for bi, h in enumerate(live):
             for t in banned_tokens(h.ids, config.no_repeat_ngram):
                 scores[bi, t] = NEG_INF
-        flat = [
-            (scores[bi, t], t, bi)
-            for bi in range(n_beams)
-            for t in range(vocab)
-            if scores[bi, t] > NEG_INF
-        ]
-        flat.sort(key=lambda c: (-c[0], c[1], c[2]))
         next_live: list[Hypothesis] = []
-        for rank, (score, token, bi) in enumerate(flat[: 2 * k]):
+        for rank, (score, token, bi) in enumerate(top_candidates(scores, 2 * k)):
             parent = live[bi]
             if token == EOS_ID:
                 # EOS retires a hypothesis only from inside the top k.
@@ -126,18 +129,20 @@ def beam_search(model, utterance: TokenSeq, config: BeamConfig) -> TokenSeq:
 def generate_file(model, vocab: Vocab, input_path, output_path, config: BeamConfig) -> int:
     """Decode one response per input line, preserving order.
 
-    Returns the number of lines written. Failures carry the input line number.
+    Returns the number of lines written. Data errors, including a line that
+    is not UTF-8, carry the input line number; configuration and numeric
+    errors pass through unchanged.
     """
-    with open(input_path, encoding="utf-8") as f:
-        lines = [line.rstrip("\n") for line in f]
+    with open(input_path, "rb") as f:
+        lines = f.read().splitlines()
     outputs = []
     for lineno, line in enumerate(lines, start=1):
         try:
-            seq = encode(line, vocab, config.max_len)
+            seq = encode(line.decode("utf-8"), vocab, config.max_len)
             result = beam_search(model, seq, config)
-            outputs.append(" ".join(vocab.decode(result.ids)))
-        except Exception as e:
+        except (UnicodeDecodeError, DataError) as e:
             raise DataError(f"{input_path}:{lineno}: decoding failed: {e}") from e
+        outputs.append(" ".join(vocab.decode(result.ids)))
     with open(output_path, "w", encoding="utf-8") as f:
         for line in outputs:
             f.write(line + "\n")

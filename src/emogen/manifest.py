@@ -17,6 +17,7 @@ from pathlib import Path
 from .data import KIND_CLASSIFICATION, KIND_GENERATION, TaskSpec
 from .decoding import BeamConfig
 from .errors import ConfigError
+from .model import ModelConfig
 from .trainer import TrainPlan
 
 _SPLITS = ("train", "valid", "test")
@@ -184,6 +185,11 @@ def load_manifest(path) -> RunManifest:
             },
         )
     )
+    model_max_len = model.get("max_len", ModelConfig.max_len)
+    if beam.max_len > model_max_len:
+        raise ConfigError(
+            f"{path}: [beam] max_len {beam.max_len} exceeds [model] max_len {model_max_len}"
+        )
 
     tasks: list[TaskSpec] = []
     for section in parser.sections():

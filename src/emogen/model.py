@@ -9,6 +9,7 @@ No parameters are private to a task except its own CLS head.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from . import tensor as T
 from .tensor import Tensor
 from .text import BOS_ID, PAD_ID
@@ -183,37 +184,39 @@ class ModelBundle:
     def _layer_norm(self, x: Tensor, prefix: str) -> Tensor:
         return T.layer_norm(x, self._p(f"{prefix}.w"), self._p(f"{prefix}.b"))
 
-    def _embed(self, ids: np.ndarray) -> Tensor:
-        # ids: (B, T) int. Token + learned position, then dropout.
-        t = ids.shape[1]
-        if t > self.config.max_len:
+    def _embed(self, ids: np.ndarray, start: int = 0) -> Tensor:
+        # ids: (B, T) int at positions start..start+T-1. Token + learned
+        # position, then dropout.
+        end = start + ids.shape[1]
+        if end > self.config.max_len:
             raise NumericError(
-                f"sequence length {t} exceeds max_len {self.config.max_len}"
+                f"sequence length {end} exceeds max_len {self.config.max_len}"
             )
         tok = T.getitem(self._p("emb.weight"), ids)
-        pos = T.getitem(self._p("pos.weight"), np.arange(t))
+        pos = T.getitem(self._p("pos.weight"), np.arange(start, end))
         return self._dropout(tok + pos)
 
-    def _attention(self, prefix: str, x: Tensor, kv: Tensor, bias: np.ndarray | None) -> Tensor:
-        # x: (B, Tq, D), kv: (B, Tk, D), bias broadcastable to (B, H, Tq, Tk).
-        b, tq, d = x.shape
-        tk = kv.shape[1]
+    def _heads(self, x: Tensor, prefix: str) -> Tensor:
+        # Project (B, T, D) through ``prefix`` and split into (B, H, T, D/H).
+        b, t, d = x.shape
         h = self.config.n_heads
-        dh = d // h
+        return T.transpose(T.reshape(self._linear(x, prefix), (b, t, h, d // h)), (0, 2, 1, 3))
 
-        def split(t_in: Tensor, t_len: int) -> Tensor:
-            return T.transpose(T.reshape(t_in, (b, t_len, h, dh)), (0, 2, 1, 3))
-
-        q = split(self._linear(x, f"{prefix}.q"), tq)
-        k = split(self._linear(kv, f"{prefix}.k"), tk)
-        v = split(self._linear(kv, f"{prefix}.v"), tk)
+    def _attend(self, prefix: str, q: Tensor, k: Tensor, v: Tensor,
+                bias: np.ndarray | None) -> Tensor:
+        # q: (B, H, Tq, Dh), k/v: (B or 1, H, Tk, Dh), bias broadcastable to
+        # (B, H, Tq, Tk). Returns the output projection, (B, Tq, D).
+        b, h, tq, dh = q.shape
         scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
         if bias is not None:
             scores = scores + Tensor(bias)
         probs = T.softmax(scores, axis=-1)
         ctx = T.matmul(probs, v)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
+        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, tq, h * dh))
         return self._linear(ctx, f"{prefix}.o")
+
+    def _kv(self, prefix: str, kv: Tensor) -> tuple[Tensor, Tensor]:
+        return self._heads(kv, f"{prefix}.k"), self._heads(kv, f"{prefix}.v")
 
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
         return self._linear(T.gelu(self._linear(x, f"{prefix}.1")), f"{prefix}.2")
@@ -224,8 +227,10 @@ class ModelBundle:
         return np.where(mask, 0.0, _MASK_VALUE)[:, None, None, :]
 
     @staticmethod
-    def _causal_bias(t: int) -> np.ndarray:
-        return np.triu(np.full((t, t), _MASK_VALUE), k=1)[None, None, :, :]
+    def _causal_bias(tq: int, tk: int) -> np.ndarray:
+        # The tq queries are the last tq of tk positions; each sees itself
+        # and every earlier position.
+        return np.triu(np.full((tq, tk), _MASK_VALUE), k=tk - tq + 1)[None, None, :, :]
 
     # -- forward passes ----------------------------------------------------
 
@@ -234,19 +239,29 @@ class ModelBundle:
         bias = self._pad_bias(enc_mask)
         for i in range(self.config.n_enc_layers):
             h = self._layer_norm(x, f"enc.{i}.ln1")
-            x = x + self._dropout(self._attention(f"enc.{i}.attn", h, h, bias))
+            q = self._heads(h, f"enc.{i}.attn.q")
+            x = x + self._dropout(self._attend(f"enc.{i}.attn", q, *self._kv(f"enc.{i}.attn", h), bias))
             x = x + self._dropout(self._ffn(self._layer_norm(x, f"enc.{i}.ln2"), f"enc.{i}.ffn"))
         return self._layer_norm(x, "enc.final_ln")
 
     def decode(self, enc_out: Tensor, enc_mask: np.ndarray, dec_ids: np.ndarray) -> Tensor:
-        x = self._embed(dec_ids)
-        causal = self._causal_bias(dec_ids.shape[1])
-        cross = self._pad_bias(enc_mask)
+        t = dec_ids.shape[1]
+        return self._decoder_stack(self._embed(dec_ids), self._causal_bias(t, t),
+                                   self._pad_bias(enc_mask),
+                                   lambda i, h: self._kv(f"dec.{i}.self_attn", h),
+                                   lambda i: self._kv(f"dec.{i}.cross_attn", enc_out))
+
+    def _decoder_stack(self, x: Tensor, causal: np.ndarray, cross: np.ndarray,
+                       self_kv, cross_kv) -> Tensor:
+        # self_kv(i, h) gives layer i's self-attention K/V for its normed
+        # input h; cross_kv(i) gives its cross-attention K/V.
         for i in range(self.config.n_dec_layers):
             h = self._layer_norm(x, f"dec.{i}.ln1")
-            x = x + self._dropout(self._attention(f"dec.{i}.self_attn", h, h, causal))
+            q = self._heads(h, f"dec.{i}.self_attn.q")
+            x = x + self._dropout(self._attend(f"dec.{i}.self_attn", q, *self_kv(i, h), causal))
             h = self._layer_norm(x, f"dec.{i}.ln2")
-            x = x + self._dropout(self._attention(f"dec.{i}.cross_attn", h, enc_out, cross))
+            q = self._heads(h, f"dec.{i}.cross_attn.q")
+            x = x + self._dropout(self._attend(f"dec.{i}.cross_attn", q, *cross_kv(i), cross))
             x = x + self._dropout(self._ffn(self._layer_norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
         return self._layer_norm(x, "dec.final_ln")
 
@@ -303,40 +318,73 @@ class ModelBundle:
 
     # -- incremental decoding ----------------------------------------------
 
+    @contextlib.contextmanager
+    def evaluating(self):
+        """Eval mode without graph recording; restores the previous mode."""
+        was_training = self.training
+        self.training = False
+        try:
+            with T.no_grad():
+                yield
+        finally:
+            self.training = was_training
+
     def begin_decode(self, utterance_ids: list[int]) -> dict:
-        """Encode one utterance once; reuse the result across beam steps."""
-        with T.no_grad():
-            enc_ids = np.asarray([utterance_ids], dtype=np.int64)
-            enc_mask = np.ones_like(enc_ids, dtype=bool)
-            was_training = self.training
-            self.eval()
-            try:
-                enc_out = self.encode(enc_ids, enc_mask)
-            finally:
-                self.training = was_training
-        return {"enc_out": enc_out.data, "enc_mask": enc_mask}
+        """Encode one utterance and project every decoder layer's cross-attention K/V once."""
+        if len(utterance_ids) > self.config.max_len:
+            raise DataError(
+                f"utterance of {len(utterance_ids)} ids exceeds max_len {self.config.max_len}"
+            )
+        enc_ids = np.asarray([utterance_ids], dtype=np.int64)
+        enc_mask = np.ones_like(enc_ids, dtype=bool)
+        with self.evaluating():
+            enc_out = self.encode(enc_ids, enc_mask)
+            cross = [self._kv(f"dec.{i}.cross_attn", enc_out)
+                     for i in range(self.config.n_dec_layers)]
+        return {"cross": cross, "cross_bias": self._pad_bias(enc_mask), "rows": {}, "self_kv": []}
 
     def next_token_logits(self, ctx: dict, prefixes: list[list[int]]) -> np.ndarray:
         """Logits over the vocabulary for the next token of each prefix.
 
         All prefixes must share one length (beam hypotheses move in lockstep).
+        ``ctx`` keeps the self-attention K/V of the previous call's prefixes.
+        When every prefix extends one of them, only the new position runs
+        through the decoder, over its parent's gathered K/V; otherwise the
+        whole prefix runs, over an empty past.
         """
         n = len(prefixes)
         t = len(prefixes[0])
         if any(len(p) != t for p in prefixes):
             raise NumericError("prefixes must share a common length")
-        with T.no_grad():
-            dec_ids = np.asarray(prefixes, dtype=np.int64)
-            enc_out = Tensor(np.repeat(ctx["enc_out"], n, axis=0))
-            enc_mask = np.repeat(ctx["enc_mask"], n, axis=0)
-            was_training = self.training
-            self.eval()
-            try:
-                hidden = self.decode(enc_out, enc_mask, dec_ids)
-                logits = self.lm_logits(T.getitem(hidden, (np.arange(n), np.full(n, t - 1))))
-            finally:
-                self.training = was_training
-        return logits.data
+        keys = [tuple(p) for p in prefixes]
+        rows = [ctx["rows"].get(key[:-1]) for key in keys]
+        if None in rows:
+            start = 0
+            empty = np.zeros((n, self.config.n_heads, 0, self.config.d_model // self.config.n_heads))
+            past = [(empty, empty)] * self.config.n_dec_layers
+        else:
+            start = t - 1
+            past = [(k[rows], v[rows]) for k, v in ctx["self_kv"]]
+        layers = []
+
+        def self_kv(i, h):
+            k, v = self._kv(f"dec.{i}.self_attn", h)
+            k = np.concatenate([past[i][0], k.data], axis=2)
+            v = np.concatenate([past[i][1], v.data], axis=2)
+            layers.append((k, v))
+            return Tensor(k), Tensor(v)
+
+        with self.evaluating():
+            x = self._embed(np.asarray(prefixes, dtype=np.int64)[:, start:], start)
+            hidden = self._decoder_stack(x, self._causal_bias(t - start, t), ctx["cross_bias"],
+                                         self_kv, lambda i: ctx["cross"][i])
+            last = T.getitem(hidden, (np.arange(n), np.full(n, t - start - 1)))
+            logits = self.lm_logits(last).data
+        if not np.isfinite(logits).all():
+            raise NumericError("decoder produced non-finite logits")
+        ctx["rows"] = {key: i for i, key in enumerate(keys)}
+        ctx["self_kv"] = layers
+        return logits
 
 
 # -- checkpoints -------------------------------------------------------------

@@ -318,23 +318,19 @@ def train(
 
 def validate(model: ModelBundle, plan: TrainPlan, valid_batches: dict[str, TaskBatches]) -> dict:
     """Unweighted per-task mean loss over the validation splits."""
-    model.eval()
     out = {}
-    try:
-        with T.no_grad():
-            for spec in plan.tasks:
-                tb = valid_batches.get(spec.name)
-                if tb is None or not len(tb):
-                    continue
-                total, n = 0.0, 0
-                for batch in tb.batches:
-                    loss = compute_task_loss(model, spec, batch, plan.label_smoothing)
-                    size = len(batch["enc_ids"])
-                    total += loss.item() * size
-                    n += size
-                out[spec.name] = total / n
-    finally:
-        model.train()
+    with model.evaluating():
+        for spec in plan.tasks:
+            tb = valid_batches.get(spec.name)
+            if tb is None or not len(tb):
+                continue
+            total, n = 0.0, 0
+            for batch in tb.batches:
+                loss = compute_task_loss(model, spec, batch, plan.label_smoothing)
+                size = len(batch["enc_ids"])
+                total += loss.item() * size
+                n += size
+            out[spec.name] = total / n
     return out
 
 

@@ -4,6 +4,23 @@ import pytest
 from emogen.model import ModelConfig, init_parameters
 
 
+class FullPrefixModel:
+    """Reference decoder: re-runs ``forward_generation`` over every whole prefix."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def begin_decode(self, utterance_ids):
+        return {"enc_ids": np.asarray([utterance_ids])}
+
+    def next_token_logits(self, ctx, prefixes):
+        enc = np.repeat(ctx["enc_ids"], len(prefixes), axis=0)
+        with self.model.evaluating():
+            out = self.model.forward_generation(enc, np.ones_like(enc, dtype=bool),
+                                                np.asarray(prefixes))
+        return out.data[:, -1]
+
+
 @pytest.fixture
 def tiny_config():
     """A deliberately small model (<5k parameters) for gradient checks."""

@@ -8,6 +8,7 @@ from emogen.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from emogen.data import load_classification_file, load_generation_file, label_set
 from emogen.errors import ConfigError
 from emogen.manifest import load_manifest, parse_variant
+from emogen.model import load_checkpoint, save_checkpoint
 
 TINY_MANIFEST = """\
 [model]
@@ -207,6 +208,43 @@ class TestGenerateCommand:
                          "--max-len", "16"]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.fixture
+    def utterances(self, tmp_path):
+        path = tmp_path / "utt.txt"
+        path.write_text("i feel glum about the news\n")
+        return path
+
+    def generate(self, checkpoint, src, out, *extra):
+        return main(["generate", "--checkpoint", str(checkpoint), "--input", str(src),
+                     "--output", str(out), *extra])
+
+    def test_max_len_above_checkpoint_is_config_error(self, tiny_run_dir, utterances,
+                                                      tmp_path, caplog):
+        code = self.generate(tiny_run_dir / "best.ckpt", utterances, tmp_path / "o.txt",
+                             "--max-len", "17")
+        assert code == EXIT_CONFIG
+        assert "--max-len 17 exceeds the checkpoint's max_len 16" in caplog.text
+        assert not (tmp_path / "o.txt").exists()
+
+    def test_non_utf8_line_is_data_error_with_line_number(self, tiny_run_dir, tmp_path, caplog):
+        src = tmp_path / "utt.txt"
+        src.write_bytes(b"i feel glum\n\xff\xfe broken\n")
+        code = self.generate(tiny_run_dir / "best.ckpt", src, tmp_path / "o.txt",
+                             "--max-len", "16")
+        assert code == EXIT_DATA
+        assert f"{src}:2: decoding failed" in caplog.text
+
+    def test_non_finite_checkpoint_is_numeric_error(self, tiny_run_dir, utterances,
+                                                    tmp_path, caplog):
+        model, meta = load_checkpoint(tiny_run_dir / "best.ckpt")
+        model.params["dec.final_ln.b"].data[:] = np.nan
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, model, meta)
+        code = self.generate(bad, utterances, tmp_path / "o.txt", "--max-len", "16",
+                             "--vocab", str(tiny_run_dir / "vocab.txt"))
+        assert code == EXIT_NUMERIC
+        assert "non-finite logits" in caplog.text
+
 
 class TestEvaluateCommand:
     def test_generation_only(self, tmp_path):
@@ -298,6 +336,15 @@ class TestMatrixCommand:
         a = (matrix_out / "R" / "test.src.txt").read_bytes()
         b = (matrix_out / "R+e6" / "test.src.txt").read_bytes()
         assert a == b
+
+    def test_beam_longer_than_model_is_config_error(self, synth_dir, tmp_path, caplog):
+        ini = synth_dir / "longbeam.ini"
+        ini.write_text(TINY_MANIFEST.replace("beam_width = 3\nmax_len = 16",
+                                             "beam_width = 3\nmax_len = 32"))
+        assert main(["matrix", "--config", str(ini),
+                     "--out", str(tmp_path / "m")]) == EXIT_CONFIG
+        assert "[beam] max_len 32 exceeds [model] max_len 16" in caplog.text
+        assert not (tmp_path / "m").exists()
 
     def test_empty_variant_list_is_config_error(self, synth_dir, tmp_path):
         text = TINY_MANIFEST.replace(

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import FullPrefixModel
 from emogen.data import RESPONSE_TEMPLATES, TaskSpec, gen_synthetic, split_811
-from emogen.decoding import BeamConfig, banned_tokens, beam_search, generate_file
+from emogen.decoding import (BeamConfig, banned_tokens, beam_search, generate_file,
+                             top_candidates)
 from emogen.errors import ConfigError, DataError
 from emogen.model import ModelConfig, init_parameters
 from emogen.text import BOS_ID, EOS_ID, ROLE_UTTERANCE, TokenSeq, tokenize
@@ -192,6 +196,44 @@ class TestBeamSearch:
         for ex in test_examples[:10]:
             seq = encode(ex.utterance, vocab, 16)
             assert penalized(model, seq, 5) >= penalized(model, seq, 1) - 1e-12
+
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_cached_decoder_matches_full_prefix_reference(self, converged, width):
+        model, vocab, test_examples = converged
+        from emogen.text import encode
+
+        reference = FullPrefixModel(model)
+        config = BeamConfig(beam_width=width, max_len=16, no_repeat_ngram=3)
+        for ex in test_examples:
+            seq = encode(ex.utterance, vocab, 16)
+            assert beam_search(model, seq, config).ids == beam_search(reference, seq, config).ids
+
+
+score_cells = st.one_of(
+    st.sampled_from([-np.inf, -1.0, -2.5, 0.0]),  # ties and banned entries
+    st.floats(min_value=-50.0, max_value=0.0),
+)
+
+
+class TestTopCandidates:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(lambda beams: st.integers(1, 6).flatmap(
+            lambda vocab: st.lists(st.lists(score_cells, min_size=vocab, max_size=vocab),
+                                   min_size=beams, max_size=beams))),
+        st.integers(1, 12),
+    )
+    def test_matches_sorted_tuples(self, rows, limit):
+        scores = np.array(rows, dtype=np.float64)
+        flat = [
+            (scores[bi, t], t, bi)
+            for bi in range(scores.shape[0])
+            for t in range(scores.shape[1])
+            if scores[bi, t] > -np.inf
+        ]
+        flat.sort(key=lambda c: (-c[0], c[1], c[2]))
+        assert top_candidates(scores, limit) == flat[:limit]
 
 
 class TestGenerateFile:

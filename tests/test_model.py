@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import finite_difference, relative_error
+from conftest import FullPrefixModel, finite_difference, relative_error
 from emogen import tensor as T
-from emogen.errors import ConfigError, NumericError
+from emogen.errors import ConfigError, DataError, NumericError
 from emogen.losses import batch_classification_nll, classification_nll, label_smoothed_nll
 from emogen.model import (
+    ModelBundle,
     ModelConfig,
     init_parameters,
     load_checkpoint,
@@ -253,6 +254,112 @@ class TestGradientCheck:
         )
         rel = relative_error(analytic, numeric)
         assert (rel < 1e-3).mean() >= 0.99
+
+
+UTTERANCE = [5, 9, 7, 12, 2]
+
+
+@pytest.fixture
+def decode_model():
+    """Two decoder layers and live dropout, so a missed eval switch shows."""
+    config = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_enc_layers=1,
+                         n_dec_layers=2, d_ff=32, max_len=10, dropout=0.1)
+    return init_parameters(config, seed=4)
+
+
+def full_prefix_logits(model, prefixes):
+    # A fresh bundle over the same parameters, without per-instance patches.
+    reference = FullPrefixModel(ModelBundle(model.config, model.params))
+    return reference.next_token_logits(reference.begin_decode(UTTERANCE), prefixes)
+
+
+class TestIncrementalDecode:
+    @pytest.fixture
+    def widths(self, decode_model, monkeypatch):
+        """Decoder positions each call runs, read off the embedding step."""
+        seen = []
+        embed = decode_model._embed
+
+        def record(ids, start=0):
+            seen.append(ids.shape[1])
+            return embed(ids, start)
+
+        monkeypatch.setattr(decode_model, "_embed", record)
+        return seen
+
+    def check(self, model, ctx, prefixes):
+        got = model.next_token_logits(ctx, prefixes)
+        np.testing.assert_allclose(got, full_prefix_logits(model, prefixes), rtol=0, atol=1e-12)
+
+    def test_incremental_calls_match_full_prefix(self, decode_model, widths):
+        ctx = decode_model.begin_decode(UTTERANCE)
+        widths.clear()
+        prefix = [BOS_ID]
+        for token in (4, 8, 6, 11, 3, 9, 4, 13):
+            self.check(decode_model, ctx, [prefix])
+            prefix = prefix + [token]
+        assert widths == [1] * 8
+        assert decode_model.training
+
+    def test_reordered_and_shared_parents(self, decode_model, widths):
+        ctx = decode_model.begin_decode(UTTERANCE)
+        widths.clear()
+        steps = [
+            [[BOS_ID]],
+            [[BOS_ID, 4], [BOS_ID, 8], [BOS_ID, 6]],
+            [[BOS_ID, 6, 3], [BOS_ID, 4, 3], [BOS_ID, 4, 9]],  # reordered, shared parent
+            [[BOS_ID, 4, 9, 5], [BOS_ID, 6, 3, 5]],  # a beam dropped
+            [[BOS_ID, 6, 3, 5, 7], [BOS_ID, 6, 3, 5, 8], [BOS_ID, 4, 9, 5, 7]],
+        ]
+        for prefixes in steps:
+            self.check(decode_model, ctx, prefixes)
+        assert widths == [1] * len(steps)
+
+    def test_uncached_parent_runs_whole_prefix(self, decode_model, widths):
+        ctx = decode_model.begin_decode(UTTERANCE)
+        self.check(decode_model, ctx, [[BOS_ID]])
+        self.check(decode_model, ctx, [[BOS_ID, 4]])
+        widths.clear()
+        self.check(decode_model, ctx, [[BOS_ID, 7, 7, 7]])
+        # one row extends the cache, the other does not: the whole prefix runs
+        self.check(decode_model, ctx, [[BOS_ID, 7, 7, 7, 3], [BOS_ID, 4, 4, 4, 4]])
+        self.check(decode_model, ctx, [[BOS_ID, 4, 4, 4, 4, 5]])
+        assert widths == [4, 5, 1]
+
+    def test_repeated_identical_call(self, decode_model):
+        ctx = decode_model.begin_decode(UTTERANCE)
+        for prefixes in ([[BOS_ID]], [[BOS_ID, 4], [BOS_ID, 8]]):
+            self.check(decode_model, ctx, prefixes)
+            self.check(decode_model, ctx, prefixes)
+
+    def test_overlong_utterance_is_a_data_error(self, decode_model):
+        with pytest.raises(DataError, match="exceeds max_len 10"):
+            decode_model.begin_decode([4] * 11)
+
+    def test_non_finite_logits_rejected(self, decode_model):
+        decode_model.params["emb.weight"].data[4] = np.nan
+        ctx = decode_model.begin_decode(UTTERANCE)
+        with pytest.raises(NumericError, match="non-finite"):
+            decode_model.next_token_logits(ctx, [[BOS_ID]])
+
+
+class TestEvaluating:
+    @pytest.mark.parametrize("training", [True, False])
+    def test_restores_previous_mode(self, tiny_model, training):
+        tiny_model.training = training
+        with tiny_model.evaluating():
+            assert not tiny_model.training
+            assert not T._grad_enabled
+        assert tiny_model.training is training
+        assert T._grad_enabled
+
+    def test_restores_mode_after_an_error(self, tiny_model):
+        tiny_model.train()
+        with pytest.raises(RuntimeError):
+            with tiny_model.evaluating():
+                raise RuntimeError("boom")
+        assert tiny_model.training
+        assert T._grad_enabled
 
 
 class TestCheckpoint:

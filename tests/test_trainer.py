@@ -15,6 +15,7 @@ from emogen.trainer import (
     compute_task_loss,
     run_step,
     train,
+    validate,
 )
 
 GEN_SPEC = TaskSpec(name="response", kind="generation")
@@ -188,6 +189,15 @@ class TestTrain:
         assert (out / "metrics.jsonl").exists()
         for epoch in range(plan.epochs):
             assert (out / f"epoch_{epoch:03d}.ckpt").exists()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_validate_restores_previous_mode(self, training):
+        plan, task_data, vocab, model = make_setup()
+        batches = {spec.name: TaskBatches(spec, task_data[spec.name]["valid"], vocab, plan)
+                   for spec in plan.tasks}
+        model.training = training
+        assert set(validate(model, plan, batches)) == {"response", "e6"}
+        assert model.training is training
 
     def test_numeric_breakdown_aborts_with_diagnostic(self):
         plan, task_data, vocab, model = make_setup()

@@ -129,12 +129,16 @@ def beam_search(model, utterance: TokenSeq, config: BeamConfig) -> TokenSeq:
 def generate_file(model, vocab: Vocab, input_path, output_path, config: BeamConfig) -> int:
     """Decode one response per input line, preserving order.
 
-    Returns the number of lines written. Data errors, including a line that
-    is not UTF-8, carry the input line number; configuration and numeric
-    errors pass through unchanged.
+    Returns the number of lines written. An input that cannot be read is a
+    data error naming the path; data errors on a line, including a line
+    that is not UTF-8, carry the input line number; configuration and
+    numeric errors pass through unchanged.
     """
-    with open(input_path, "rb") as f:
-        lines = f.read().splitlines()
+    try:
+        with open(input_path, "rb") as f:
+            lines = f.read().splitlines()
+    except OSError as e:
+        raise DataError(f"{input_path}: cannot read input: {e.strerror}") from e
     outputs = []
     for lineno, line in enumerate(lines, start=1):
         try:

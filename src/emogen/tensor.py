@@ -1,13 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every operation records its parents and a backward closure; calling
-``backward()`` on a scalar walks the graph in reverse topological order and
-accumulates gradients into ``.grad`` buffers. Gradients add up across
-repeated backward calls until explicitly zeroed, which is what per-mini-batch
-training relies on.
+``backward()`` on a scalar walks the graph in reverse topological order,
+passing each node's gradient on to its parents, and accumulates gradients
+into the ``.grad`` buffers of the leaves (parameters and inputs). Gradients
+add up across repeated backward calls until explicitly zeroed, which is what
+per-mini-batch training relies on.
 
-All storage is float64: at desk scale speed is irrelevant and finite
-difference checks need the headroom.
+All storage is float64: finite difference checks need the headroom.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ def no_grad():
 class Tensor:
     """A numpy float64 array plus an optional gradient record.
 
-    ``requires_grad`` tensors that are leaves (parameters) keep their
-    ``.grad`` buffer across backward calls; intermediate nodes are created
-    fresh on every forward pass.
+    Only leaves (tensors not produced by an operation, such as parameters)
+    hold a ``.grad`` buffer, kept across backward calls; intermediate nodes
+    are created fresh on every forward pass and their ``.grad`` stays None.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -74,19 +74,17 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- graph ----------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(node) into every node of the graph.
+        """Accumulate d(self)/d(leaf) into every leaf of the graph.
 
-        ``self`` must be a scalar. Repeated calls without zeroing add their
-        contributions on top of the existing ``.grad`` buffers.
+        ``self`` must be a scalar. Interior nodes only pass their gradient on
+        to their parents. Repeated calls without zeroing add their
+        contributions on top of the leaves' existing ``.grad`` buffers.
         """
         if self.data.size != 1:
             raise NumericError(
@@ -98,11 +96,8 @@ class Tensor:
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
-            if node.grad is None:
-                node.grad = g.copy()
-            else:
-                node.grad = node.grad + g
             if node._backward is None:
+                node.grad = g.copy() if node.grad is None else node.grad + g
                 continue
             parent_grads = node._backward(g)
             for parent, pg in zip(node._parents, parent_grads):
@@ -229,6 +224,17 @@ def neg(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise NumericError("matmul operands must have at least 2 dimensions")
+    if b.ndim == 2:
+        # Fold a's leading axes into rows: one 2-D GEMM for the output and
+        # one for each gradient, with no per-batch weight gradients to sum.
+        a2 = a.data.reshape(-1, a.shape[-1])
+        data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+
+        def backward_2d(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+
+        return _node(data, (a, b), backward_2d)
     data = a.data @ b.data
 
     def backward(g):

@@ -186,6 +186,17 @@ def run_step(
     return raw
 
 
+def _pooled_parameters(model: ModelBundle, plan: TrainPlan) -> dict[str, T.Tensor]:
+    """Every parameter except the CLS heads of tasks left out of the pool.
+
+    Those heads get no optimizer state and no update, so weight decay cannot
+    move them: they stay exactly at initialization.
+    """
+    pooled = {t.name for t in plan.tasks}
+    idle = {f"cls.{name}" for name in model.cls_task_names() if name not in pooled}
+    return {n: p for n, p in model.params.items() if n.rsplit(".", 1)[0] not in idle}
+
+
 def _corpus_lines(task_data: dict[str, dict[str, list]], tasks: list[TaskSpec]):
     for spec in tasks:
         for ex in task_data[spec.name].get("train", []):
@@ -222,7 +233,7 @@ def train(
     model.seed_dropout([plan.seed, 0x5EED])
     model.train()
     optimizer = AdamW(
-        model.params,
+        _pooled_parameters(model, plan),
         lr=plan.lr,
         beta1=plan.beta1,
         beta2=plan.beta2,

@@ -234,6 +234,14 @@ class TestGenerateCommand:
         assert code == EXIT_DATA
         assert f"{src}:2: decoding failed" in caplog.text
 
+    def test_missing_input_is_data_error_naming_the_path(self, tiny_run_dir, tmp_path, caplog):
+        src = tmp_path / "missing.txt"
+        code = self.generate(tiny_run_dir / "best.ckpt", src, tmp_path / "o.txt",
+                             "--max-len", "16")
+        assert code == EXIT_DATA
+        assert f"{src}: cannot read input" in caplog.text
+        assert not (tmp_path / "o.txt").exists()
+
     def test_non_finite_checkpoint_is_numeric_error(self, tiny_run_dir, utterances,
                                                     tmp_path, caplog):
         model, meta = load_checkpoint(tiny_run_dir / "best.ckpt")

@@ -7,6 +7,9 @@ from emogen import tensor as T
 from emogen.errors import NumericError
 from emogen.tensor import Tensor
 
+# A fixed non-uniform upstream gradient for the (2, 3, 4) @ (4, 5) product.
+_UPSTREAM = np.random.default_rng(17).normal(size=(2, 3, 5))
+
 
 class TestBackwardContracts:
     def test_sum_gradient_is_ones(self):
@@ -30,6 +33,7 @@ class TestBackwardContracts:
         loss.backward()
         loss.backward()
         np.testing.assert_array_equal(w.grad, np.full(2, 2.0))
+        assert loss.grad is None
 
     def test_shared_operand_accumulates_both_paths(self):
         w = Tensor(np.array([3.0]), requires_grad=True)
@@ -58,6 +62,8 @@ class TestOpGradients:
     cases = {
         "matmul": (lambda a, b: T.matmul(a, b).sum(), (3, 4), (4, 2)),
         "batched_matmul": (lambda a, b: T.matmul(a, b).sum(), (2, 3, 4), (4, 5)),
+        "batched_matmul_weighted": (
+            lambda a, b: T.mul(T.matmul(a, b), Tensor(_UPSTREAM)).sum(), (2, 3, 4), (4, 5)),
         "add_broadcast": (lambda a, b: (a + b).sum(), (3, 4), (4,)),
         "mul_broadcast": (lambda a, b: T.mul(a, b).sum(), (2, 3, 4), (3, 4)),
     }
@@ -121,6 +127,70 @@ class TestOpGradients:
             an = gflat[i]
             rel = abs(fd - an) / max(1e-6, abs(fd), abs(an))
             assert rel < tol, f"entry {i}: analytic {an} vs numeric {fd}"
+
+
+class TestFlatMatmul:
+    """Products with a 2-D right operand run as flat 2-D GEMMs."""
+
+    @staticmethod
+    def _batched_reference(a, w, up):
+        # The batched path: per-batch weight gradients, then summed.
+        ga = up @ w.T
+        gw = (np.swapaxes(a, -1, -2) @ up).sum(axis=tuple(range(a.ndim - 2)))
+        return a @ w, ga, gw
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_batched_then_summed(self, lead, t, d, f, seed):
+        # Shapes (B, T, D) @ (D, F) and (B, H, T, D) @ (D, F).
+        rng = np.random.default_rng(seed)
+        shape = (*lead, t, d)
+        a = Tensor(rng.normal(size=shape), requires_grad=True)
+        w = Tensor(rng.normal(size=(d, f)), requires_grad=True)
+        up = rng.normal(size=(*lead, t, f))
+        out = T.matmul(a, w)
+        T.mul(out, Tensor(up)).sum().backward()
+        want_out, want_ga, want_gw = self._batched_reference(a.data, w.data, up)
+        assert out.shape == want_out.shape
+        np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.grad, want_ga, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w.grad, want_gw, rtol=0, atol=1e-12)
+
+
+class TestLeafGradients:
+    def test_interior_nodes_hold_no_grad(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        h = T.matmul(x, w)
+        y = T.gelu(h)
+        loss = T.tmean(y)
+        loss.backward()
+        for node in (h, y, loss):
+            assert node.grad is None
+        assert x.grad is not None and w.grad is not None
+
+    def test_leaf_used_twice_accumulates_both_contributions(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(2, 3, 4))
+        w = rng.normal(size=(4, 4))
+        up = rng.normal(size=(2, 3, 4))
+
+        def loss(first, second):
+            return T.mul(T.matmul(T.gelu(T.matmul(Tensor(x), first)), second), Tensor(up)).sum()
+
+        shared = Tensor(w.copy(), requires_grad=True)
+        loss(shared, shared).backward()
+        w1 = Tensor(w.copy(), requires_grad=True)
+        w2 = Tensor(w.copy(), requires_grad=True)
+        loss(w1, w2).backward()
+        np.testing.assert_allclose(shared.grad, w1.grad + w2.grad, rtol=0, atol=1e-12)
 
 
 class TestSoftmaxKernel:

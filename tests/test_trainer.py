@@ -33,7 +33,8 @@ def make_task_data(gen_size=120, cls_size=80, seed=0):
     }
 
 
-def make_setup(plan=None, seed=0, d_model=16, gen_size=120, cls_size=80):
+def make_setup(plan=None, seed=0, d_model=16, gen_size=120, cls_size=80,
+               cls_heads=(("e6", 6),)):
     plan = plan or TrainPlan(
         tasks=[GEN_SPEC, E6_SPEC], batch_size=16, epochs=2, seed=seed,
         max_len=16, lr=1e-3,
@@ -43,7 +44,7 @@ def make_setup(plan=None, seed=0, d_model=16, gen_size=120, cls_size=80):
     config = ModelConfig(
         vocab_size=vocab.size, d_model=d_model, n_heads=2, n_enc_layers=1,
         n_dec_layers=1, d_ff=4 * d_model, max_len=16, dropout=0.0,
-        cls_heads=(("e6", 6),),
+        cls_heads=cls_heads,
     )
     model = init_parameters(config, seed)
     return plan, task_data, vocab, model
@@ -189,6 +190,19 @@ class TestTrain:
         assert (out / "metrics.jsonl").exists()
         for epoch in range(plan.epochs):
             assert (out / f"epoch_{epoch:03d}.ckpt").exists()
+
+    def test_heads_left_out_of_pool_stay_at_initialization(self):
+        plan = TrainPlan(
+            tasks=[GEN_SPEC, E6_SPEC], batch_size=16, epochs=2, seed=0,
+            max_len=16, lr=1e-3, weight_decay=0.01,
+        )
+        plan, task_data, vocab, model = make_setup(
+            plan, cls_heads=(("e6", 6), ("e2", 2)))
+        before = {n: model.params[n].data.copy() for n in ("cls.e2.w", "cls.e2.b", "cls.e6.w")}
+        train(plan, task_data, model, vocab)
+        assert (model.params["cls.e2.w"].data == before["cls.e2.w"]).all()
+        assert (model.params["cls.e2.b"].data == before["cls.e2.b"]).all()
+        assert not (model.params["cls.e6.w"].data == before["cls.e6.w"]).all()
 
     @pytest.mark.parametrize("training", [True, False])
     def test_validate_restores_previous_mode(self, training):

@@ -8,8 +8,8 @@ beam-search decoding and the dialogue evaluation metrics, all on numpy.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, DataError, EmogenError, NumericError
-from .tensor import Tensor, no_grad
-from .losses import classification_nll, label_smoothed_nll, softmax
+from .tensor import Tensor, no_grad, softmax
+from .losses import classification_nll, label_smoothed_nll
 from .optim import AdamW, clip_global_norm
 from .text import Vocab, TokenSeq, build_vocab, encode, pad_batch, shift_right, tokenize
 from .model import (

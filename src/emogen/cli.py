@@ -12,6 +12,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -56,10 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--beams", type=int, default=5)
-    p.add_argument("--no-repeat-ngram", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=64)
-    p.add_argument("--length-penalty", type=float, default=1.0)
+    # Beam options left unset take BeamConfig's defaults.
+    p.add_argument("--beams", dest="beam_width", metavar="BEAMS", type=int,
+                   default=argparse.SUPPRESS)
+    p.add_argument("--no-repeat-ngram", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-len", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--length-penalty", type=float, default=argparse.SUPPRESS)
     p.add_argument("--vocab", default=None)
 
     p = sub.add_parser("evaluate", help="score hypotheses against references")
@@ -87,6 +90,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     from . import commands
+    from .decoding import BeamConfig
     from .errors import ConfigError, DataError, EmogenError, NumericError
 
     try:
@@ -98,9 +102,10 @@ def main(argv=None) -> int:
         elif args.command == "train":
             commands.cmd_train(args.config, args.out)
         elif args.command == "generate":
+            beam = {f.name: getattr(args, f.name) for f in fields(BeamConfig)
+                    if hasattr(args, f.name)}
             commands.cmd_generate(args.checkpoint, args.input, args.output,
-                                  args.beams, args.no_repeat_ngram,
-                                  args.max_len, args.length_penalty, args.vocab)
+                                  BeamConfig(**beam), args.vocab)
         elif args.command == "evaluate":
             commands.cmd_evaluate(args.hyp, args.ref, args.out,
                                   args.pred, args.gold, args.labels)

@@ -225,9 +225,8 @@ def cmd_train(manifest_path, out_dir) -> None:
 # -- generate ----------------------------------------------------------------
 
 
-def cmd_generate(checkpoint_path, input_path, output_path,
-                 beam_width=5, no_repeat_ngram=3, max_len=64,
-                 length_penalty=1.0, vocab_path=None) -> None:
+def cmd_generate(checkpoint_path, input_path, output_path, config: BeamConfig,
+                 vocab_path=None) -> None:
     checkpoint_path = Path(checkpoint_path)
     model, meta = load_checkpoint(checkpoint_path)
     if vocab_path is None:
@@ -238,21 +237,18 @@ def cmd_generate(checkpoint_path, input_path, output_path,
             f"vocab size {vocab.size} does not match checkpoint "
             f"vocab_size {model.config.vocab_size}"
         )
-    if max_len > model.config.max_len:
+    if config.max_len > model.config.max_len:
         raise ConfigError(
-            f"--max-len {max_len} exceeds the checkpoint's max_len {model.config.max_len}"
+            f"--max-len {config.max_len} exceeds the checkpoint's max_len "
+            f"{model.config.max_len}"
         )
-    config = BeamConfig(
-        beam_width=beam_width, max_len=max_len,
-        no_repeat_ngram=no_repeat_ngram, length_penalty=length_penalty,
-    )
     n = generate_file(model, vocab, input_path, output_path, config)
     log.info("generate: wrote %d responses to %s", n, output_path)
     _write_echo(Path(str(output_path) + ".echo.json"), "generate", {
         "args": {"checkpoint": str(checkpoint_path), "input": str(input_path),
-                 "output": str(output_path), "beams": beam_width,
-                 "no_repeat_ngram": no_repeat_ngram, "max_len": max_len,
-                 "length_penalty": length_penalty, "vocab": str(vocab_path)},
+                 "output": str(output_path), "beams": config.beam_width,
+                 "no_repeat_ngram": config.no_repeat_ngram, "max_len": config.max_len,
+                 "length_penalty": config.length_penalty, "vocab": str(vocab_path)},
         "checkpoint_meta": meta})
 
 
@@ -328,7 +324,7 @@ def evaluate_variant(model: ModelBundle, manifest: RunManifest, task_data,
     hyps = _read_lines(hyp)
     refs = _read_lines(ref)
     row = build_report(hyps, refs).to_dict()
-    max_len = min(manifest.train.get("max_len", 64), model.config.max_len)
+    max_len = min(manifest.train.get("max_len", TrainPlan.max_len), model.config.max_len)
     for spec in manifest.classification_tasks():
         test = task_data[spec.name].get("test", [])
         if not test:

@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import NumericError
 from .tensor import Tensor, getitem, log_softmax, neg, tmean
-from .tensor import softmax  # noqa: F401  (re-exported: part of the numeric kernel set)
 
 
 def label_smoothed_nll(

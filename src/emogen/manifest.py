@@ -1,26 +1,32 @@
 """Declarative run manifests: one INI file drives data, training and decoding.
 
 Sections: [model], [train], [beam], one [task <name>] per task, and an
-optional [matrix] listing variants. Paths are resolved relative to the
-manifest file. A variant is either a task-subset name such as ``R+e6`` or a
-weight vector such as ``lambda(0.5, 0.5, 0)`` over the declared
-classification tasks in order; tasks with weight 0 are left out of the
-training pool (their heads stay at initialization).
+optional [matrix] listing variants. The keys of [model], [train], [beam]
+and of a task are the defaulted fields of ``ModelConfig``, ``TrainPlan``
+(plus ``RunManifest.vocab_min_count``), ``BeamConfig`` and ``TaskSpec``,
+each read as its default's type; an unknown key or section is an error.
+Paths are resolved relative to the manifest file. A variant is either a
+task-subset name such as ``R+e6`` or a weight vector such as
+``lambda(0.5, 0.5, 0)`` over the declared classification tasks in order;
+tasks with weight 0 are left out of the training pool (their heads stay at
+initialization).
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import KIND_CLASSIFICATION, KIND_GENERATION, TaskSpec
 from .decoding import BeamConfig
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .model import ModelConfig
 from .trainer import TrainPlan
 
 _SPLITS = ("train", "valid", "test")
+_SECTIONS = ("model", "train", "beam", "matrix")
 
 
 @dataclass
@@ -48,59 +54,39 @@ class RunManifest:
 
     def build_plan(self, variant: Variant | None = None) -> TrainPlan:
         """Train plan for one variant (or for the manifest's own weights)."""
-        gen = self.generation_task
-        tasks = [gen]
+        tasks = [self.generation_task]
         for spec in self.classification_tasks():
             weight = spec.weight if variant is None else variant.lambdas.get(spec.name, 0.0)
             if weight > 0.0:
-                tasks.append(
-                    TaskSpec(
-                        name=spec.name,
-                        kind=spec.kind,
-                        labels=spec.labels,
-                        weight=weight,
-                        paths=spec.paths,
-                        subsample_fraction=spec.subsample_fraction,
-                    )
-                )
+                tasks.append(dataclasses.replace(spec, weight=weight))
         return TrainPlan(tasks=tasks, **self.train)
 
     def to_dict(self) -> dict:
-        return {
-            "path": str(self.path),
-            "model": self.model,
-            "train": self.train,
-            "beam": vars(self.beam),
-            "vocab_min_count": self.vocab_min_count,
-            "tasks": [
-                {
-                    "name": t.name,
-                    "kind": t.kind,
-                    "labels": list(t.labels),
-                    "weight": t.weight,
-                    "paths": {k: str(v) for k, v in t.paths.items()},
-                    "subsample_fraction": t.subsample_fraction,
-                }
-                for t in self.tasks
-            ],
-            "variants": [
-                {"name": v.name, "lambdas": v.lambdas} for v in self.variants
-            ],
-        }
+        return dataclasses.asdict(self)
 
 
-def _coerce(section: configparser.SectionProxy, casts: dict) -> dict:
+def _read_fields(cls, items: dict, where: str) -> dict:
+    """Cast ``items`` onto the defaulted fields of the dataclass ``cls``.
+
+    Each value is read as the type of its field's default; a field typed
+    ``... | None`` also takes ``none`` or ``off``.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
     out = {}
-    for key, cast in casts.items():
-        if key in section:
-            raw = section[key]
-            try:
-                if cast is bool:
-                    out[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-                else:
-                    out[key] = cast(raw)
-            except ValueError as e:
-                raise ConfigError(f"bad value for '{key}': {raw!r}") from e
+    for key, raw in items.items():
+        f = fields.get(key)
+        if f is None:
+            raise ConfigError(f"{where} unknown key '{key}'")
+        text = raw.strip().lower()
+        try:
+            if "None" in str(f.type) and text in ("none", "off"):
+                out[key] = None
+            elif isinstance(f.default, bool):
+                out[key] = configparser.ConfigParser.BOOLEAN_STATES[text]
+            else:
+                out[key] = type(f.default)(raw)
+        except (KeyError, ValueError) as e:
+            raise ConfigError(f"{where} bad value for '{key}': {raw!r}") from e
     return out
 
 
@@ -147,44 +133,27 @@ def load_manifest(path) -> RunManifest:
     parser.optionxform = str
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as e:
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from e
-    base = path.parent
+    if parser.defaults():
+        raise ConfigError(f"{path}: a [DEFAULT] section is not supported")
+    for name in parser.sections():
+        if name not in _SECTIONS and not name.startswith("task "):
+            raise ConfigError(f"{path}: unknown section [{name}]")
 
-    model = _coerce(
-        parser["model"] if parser.has_section("model") else {},
-        {
-            "d_model": int, "n_heads": int, "n_enc_layers": int,
-            "n_dec_layers": int, "d_ff": int, "max_len": int, "dropout": float,
-        },
-    )
+    def section(name: str) -> dict:
+        return dict(parser[name]) if parser.has_section(name) else {}
 
-    train_section = parser["train"] if parser.has_section("train") else {}
-    train = _coerce(
-        train_section,
-        {
-            "batch_size": int, "epochs": int, "seed": int, "max_len": int,
-            "label_smoothing": float, "lr": float, "beta1": float,
-            "beta2": float, "eps": float, "weight_decay": float,
-            "save_every_epoch": bool,
-        },
+    model = _read_fields(ModelConfig, section("model"), f"{path}: [model]")
+    train = section("train")
+    # vocab_min_count shapes the shared vocabulary, not the train plan.
+    extra = _read_fields(
+        RunManifest,
+        {k: train.pop(k) for k in ("vocab_min_count",) if k in train},
+        f"{path}: [train]",
     )
-    if "grad_clip" in train_section:
-        raw = train_section["grad_clip"].strip().lower()
-        train["grad_clip"] = None if raw in ("none", "off") else float(raw)
-    vocab_min_count = 1
-    if "vocab_min_count" in train_section:
-        vocab_min_count = int(train_section["vocab_min_count"])
-
-    beam = BeamConfig(
-        **_coerce(
-            parser["beam"] if parser.has_section("beam") else {},
-            {
-                "beam_width": int, "max_len": int,
-                "no_repeat_ngram": int, "length_penalty": float,
-            },
-        )
-    )
+    train = _read_fields(TrainPlan, train, f"{path}: [train]")
+    beam = BeamConfig(**_read_fields(BeamConfig, section("beam"), f"{path}: [beam]"))
     model_max_len = model.get("max_len", ModelConfig.max_len)
     if beam.max_len > model_max_len:
         raise ConfigError(
@@ -192,26 +161,21 @@ def load_manifest(path) -> RunManifest:
         )
 
     tasks: list[TaskSpec] = []
-    for section in parser.sections():
-        if not section.startswith("task "):
+    for name in parser.sections():
+        if not name.startswith("task "):
             continue
-        name = section[len("task ") :].strip()
-        sec = parser[section]
-        kind = sec.get("kind", "").strip()
-        labels = tuple(
-            t.strip() for t in sec.get("labels", "").split(",") if t.strip()
-        )
-        paths = {}
-        for split in _SPLITS:
-            if split in sec:
-                paths[split] = base / sec[split]
-        spec_kwargs = _coerce(sec, {"weight": float, "subsample_fraction": float})
+        items = section(name)
+        kind = items.pop("kind", "").strip()
+        labels = tuple(t.strip() for t in items.pop("labels", "").split(",") if t.strip())
+        paths = {s: path.parent / items.pop(s) for s in _SPLITS if s in items}
+        spec_kwargs = _read_fields(TaskSpec, items, f"{path}: [{name}]")
+        task_name = name[len("task ") :].strip()
         try:
             tasks.append(
-                TaskSpec(name=name, kind=kind, labels=labels, paths=paths, **spec_kwargs)
+                TaskSpec(name=task_name, kind=kind, labels=labels, paths=paths, **spec_kwargs)
             )
-        except Exception as e:
-            raise ConfigError(f"[task {name}]: {e}") from e
+        except DataError as e:
+            raise ConfigError(f"{path}: [{name}] {e}") from e
     if sum(1 for t in tasks if t.kind == KIND_GENERATION) != 1:
         raise ConfigError("manifest must declare exactly one generation task")
     for t in tasks:
@@ -221,13 +185,13 @@ def load_manifest(path) -> RunManifest:
             if not Path(p).exists():
                 raise ConfigError(f"task '{t.name}': {split} file not found: {p}")
 
+    matrix = section("matrix")
+    for key in matrix:
+        if key != "variants":
+            raise ConfigError(f"{path}: [matrix] unknown key '{key}'")
     cls_names = [t.name for t in tasks if t.kind == KIND_CLASSIFICATION]
-    variants: list[Variant] = []
-    if parser.has_section("matrix") and "variants" in parser["matrix"]:
-        for chunk in parser["matrix"]["variants"].split("|"):
-            chunk = chunk.strip()
-            if chunk:
-                variants.append(parse_variant(chunk, cls_names))
+    chunks = (c.strip() for c in matrix.get("variants", "").split("|"))
+    variants = [parse_variant(c, cls_names) for c in chunks if c]
 
     return RunManifest(
         path=path,
@@ -236,5 +200,5 @@ def load_manifest(path) -> RunManifest:
         beam=beam,
         tasks=tasks,
         variants=variants,
-        vocab_min_count=vocab_min_count,
+        **extra,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,17 +54,7 @@ class ModelConfig:
                 raise ConfigError(f"cls head '{name}' needs at least 2 labels")
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_enc_layers": self.n_enc_layers,
-            "n_dec_layers": self.n_dec_layers,
-            "d_ff": self.d_ff,
-            "max_len": self.max_len,
-            "dropout": self.dropout,
-            "cls_heads": [list(h) for h in self.cls_heads],
-        }
+        return {**asdict(self), "cls_heads": [list(h) for h in self.cls_heads]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -430,10 +420,18 @@ def load_checkpoint(path, expected_cls_heads=None) -> tuple[ModelBundle, dict]:
         magic = f.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise ConfigError(f"{path}: not a checkpoint file")
-        length = int(f.readline().strip())
-        header = json.loads(f.read(length).decode("utf-8"))
+        try:
+            length = int(f.readline().strip())
+            header = json.loads(f.read(length).decode("utf-8"))
+        except ValueError as e:
+            raise ConfigError(f"{path}: truncated or corrupt checkpoint header ({e})") from e
         f.readline()
         body = f.read()
+    declared = sum(entry["nbytes"] for entry in header["params"])
+    if len(body) != declared:
+        raise ConfigError(
+            f"{path}: checkpoint body holds {len(body)} bytes, its header declares {declared}"
+        )
     config = ModelConfig.from_dict(header["config"])
     if expected_cls_heads is not None:
         expected = tuple((str(n), int(c)) for n, c in expected_cls_heads)

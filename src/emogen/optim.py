@@ -61,10 +61,6 @@ class AdamW:
                 p.data *= 1.0 - self.learning_rate * self.weight_decay
             p.data -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.epsilon)
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
 
 def clip_global_norm(params: Mapping[str, Tensor], max_norm: float) -> float:
     """Scale all grads in place so their joint L2 norm is at most ``max_norm``.

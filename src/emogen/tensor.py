@@ -291,11 +291,6 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _node(a.data * mask, (a,), lambda g: (g * mask,))
-
-
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit: x * Phi(x)."""
     x = a.data

@@ -268,8 +268,9 @@ def train(
         sums = {spec.name: 0.0 for spec in plan.tasks}
         counts = {spec.name: 0 for spec in plan.tasks}
         for ticket in schedule:
-            spec = next(t for t in plan.tasks if t.name == ticket.task_name)
-            batch = train_batches[spec.name].batches[ticket.batch_index]
+            task_batches = train_batches[ticket.task_name]
+            spec = task_batches.spec
+            batch = task_batches.batches[ticket.batch_index]
             try:
                 raw = run_step(
                     model, optimizer, spec, batch, spec.weight,

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,62 @@ class TestManifest:
         with pytest.raises(ConfigError, match="missing.tsv"):
             load_manifest(bad)
 
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Manifest format"):]
+        block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+        (tmp_path / "manifest.ini").write_text(block)
+        for name in re.findall(r"= (\S+\.tsv)$", block, re.M):
+            (tmp_path / name).write_text("some text\tjoy\n")
+        manifest = load_manifest(tmp_path / "manifest.ini")
+        assert [t.name for t in manifest.tasks] == ["response", "e6"]
+        assert manifest.train["grad_clip"] == 1.0
+        assert [v.lambdas for v in manifest.variants] == [{}, {"e6": 1.0}, {"e6": 1.0},
+                                                          {"e6": 0.5}]
+
+
+# Each case edits TINY_MANIFEST once; the error must name the key or section.
+MALFORMED = {
+    "model_key": ("d_model = 16", "d_modle = 16", "'d_modle'"),
+    "train_key": ("epochs = 2", "epoch = 2", "'epoch'"),
+    "beam_key": ("beam_width = 3", "beam_widht = 3", "'beam_widht'"),
+    "task_key": ("weight = 1.0", "weigth = 0.5", "[task e6] unknown key 'weigth'"),
+    "matrix_key": ("[matrix]\n", "[matrix]\nvariant = R\n", "[matrix] unknown key 'variant'"),
+    "section": ("[beam]", "[beams]", "unknown section [beams]"),
+    "default_section": ("[model]", "[DEFAULT]\nseed = 3\n\n[model]", "[DEFAULT]"),
+    "bad_int": ("batch_size = 16", "batch_size = sixteen", "'batch_size'"),
+    "bad_float": ("lr = 0.001", "lr = fast", "'lr'"),
+    "bad_bool": ("save_every_epoch = true", "save_every_epoch = maybe", "'save_every_epoch'"),
+    "grad_clip": ("lr = 0.001", "lr = 0.001\ngrad_clip = abc", "'grad_clip'"),
+    "vocab_min_count": ("lr = 0.001", "lr = 0.001\nvocab_min_count = two",
+                        "'vocab_min_count'"),
+}
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_train_exits_config_naming_the_key(self, case, synth_dir, tmp_path, caplog):
+        old, new, needle = MALFORMED[case]
+        assert old in TINY_MANIFEST
+        ini = synth_dir / f"malformed_{case}.ini"
+        ini.write_text(TINY_MANIFEST.replace(old, new, 1))
+        code = main(["train", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert needle in caplog.text
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_manifest_is_config_error(self, synth_dir, tmp_path, caplog):
+        ini = synth_dir / "latin1.ini"
+        ini.write_bytes(TINY_MANIFEST.replace("dropout", "drop\xf6ut").encode("latin-1"))
+        code = main(["train", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"{ini}: 'utf-8' codec can't decode" in caplog.text
+
+    def test_none_disables_grad_clip(self, synth_dir):
+        ini = synth_dir / "noclip.ini"
+        ini.write_text(TINY_MANIFEST.replace("lr = 0.001", "lr = 0.001\ngrad_clip = none"))
+        assert load_manifest(ini).build_plan().grad_clip is None
+
 
 class TestTrainCommand:
     def test_artifacts_written(self, tiny_run_dir):
@@ -240,6 +297,22 @@ class TestGenerateCommand:
                              "--max-len", "16")
         assert code == EXIT_DATA
         assert f"{src}: cannot read input" in caplog.text
+        assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_truncated_checkpoint_is_config_error(self, where, tiny_run_dir, utterances,
+                                                  tmp_path, caplog):
+        data = (tiny_run_dir / "best.ckpt").read_bytes()
+        magic_and_length = data.index(b"\n", data.index(b"\n") + 1) + 1
+        cut = magic_and_length + 20 if where == "header" else len(data) - 100
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes(data[:cut])
+        code = self.generate(bad, utterances, tmp_path / "o.txt", "--max-len", "16",
+                             "--vocab", str(tiny_run_dir / "vocab.txt"))
+        assert code == EXIT_CONFIG
+        needle = {"header": "truncated or corrupt checkpoint header",
+                  "body": "checkpoint body holds"}[where]
+        assert f"{bad}: {needle}" in caplog.text
         assert not (tmp_path / "o.txt").exists()
 
     def test_non_finite_checkpoint_is_numeric_error(self, tiny_run_dir, utterances,

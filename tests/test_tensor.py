@@ -79,7 +79,6 @@ class TestOpGradients:
             self._check_fd(lambda: fn(Tensor(a.data), Tensor(b.data)).item(), p)
 
     unary = {
-        "relu": T.relu,
         "gelu": T.gelu,
         "log_softmax": lambda x: T.log_softmax(x, axis=-1),
         "softmax": lambda x: T.softmax(x, axis=-1),

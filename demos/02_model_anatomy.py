@@ -20,7 +20,7 @@ model = init_parameters(config, seed=0)
 model.eval()
 
 n = sum(p.size for p in model.params.values())
-print(f"parameters: {n} (closed form: {parameter_count(config)})")
+print(f"parameters: {n} (parameter_count, from the layout table: {parameter_count(config)})")
 
 enc = np.array([[4, 9, 11, EOS_ID]])
 mask = np.ones_like(enc, dtype=bool)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .tensor import Tensor
 from .text import BOS_ID, PAD_ID
 
 _MASK_VALUE = -1e9
+_FILL = {"zeros": 0.0, "ones": 1.0}
 
 
 @dataclass(frozen=True)
@@ -63,68 +65,62 @@ class ModelConfig:
         return cls(**d)
 
 
-def parameter_count(config: ModelConfig) -> int:
-    """Closed-form parameter count for a config (LM head is tied, free)."""
+def _layout(config: ModelConfig):
+    """Yield (name, shape, init) for every parameter, in checkpoint order.
+
+    ``init`` is ``normal`` (N(0, 0.02)), ``zeros`` or ``ones``. K has no bias:
+    softmax over keys ignores the constant ``q·b_k`` it would add to a query's
+    scores. The LM head is tied to ``emb.weight``.
+    """
     d, f = config.d_model, config.d_ff
-    attn = 4 * (d * d + d)
-    ln = 2 * d
-    ffn = d * f + f + f * d + d
-    enc_layer = attn + 2 * ln + ffn
-    dec_layer = 2 * attn + 3 * ln + ffn
-    total = config.vocab_size * d + config.max_len * d
-    total += config.n_enc_layers * enc_layer + ln
-    total += config.n_dec_layers * dec_layer + ln
-    total += sum(d * n + n for _, n in config.cls_heads)
-    return total
+
+    def linear(prefix, n_in, n_out, bias=True):
+        yield f"{prefix}.w", (n_in, n_out), "normal"
+        if bias:
+            yield f"{prefix}.b", (n_out,), "zeros"
+
+    def layer_norm(prefix):
+        yield f"{prefix}.w", (d,), "ones"
+        yield f"{prefix}.b", (d,), "zeros"
+
+    def attention(prefix):
+        for part in ("q", "k", "v", "o"):
+            yield from linear(f"{prefix}.{part}", d, d, bias=part != "k")
+
+    def block(prefix, attentions):
+        # ln1, attention 1, [ln2, attention 2,] then a norm and the FFN.
+        for j, name in enumerate(attentions, 1):
+            yield from layer_norm(f"{prefix}.ln{j}")
+            yield from attention(f"{prefix}.{name}")
+        yield from layer_norm(f"{prefix}.ln{len(attentions) + 1}")
+        yield from linear(f"{prefix}.ffn.1", d, f)
+        yield from linear(f"{prefix}.ffn.2", f, d)
+
+    yield "emb.weight", (config.vocab_size, d), "normal"
+    yield "pos.weight", (config.max_len, d), "normal"
+    for i in range(config.n_enc_layers):
+        yield from block(f"enc.{i}", ("attn",))
+    yield from layer_norm("enc.final_ln")
+    for i in range(config.n_dec_layers):
+        yield from block(f"dec.{i}", ("self_attn", "cross_attn"))
+    yield from layer_norm("dec.final_ln")
+    for name, n_labels in config.cls_heads:
+        yield from linear(f"cls.{name}", d, n_labels)
+
+
+def parameter_count(config: ModelConfig) -> int:
+    """Number of scalars in a model of this config."""
+    return sum(math.prod(shape) for _, shape, _ in _layout(config))
 
 
 def init_parameters(config: ModelConfig, seed: int) -> "ModelBundle":
     """Seeded initialization: normal(0, 0.02) weights, zero biases, unit LN."""
     rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
-
-    def normal(name, *shape):
-        params[name] = Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True)
-
-    def zeros(name, *shape):
-        params[name] = Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(name, *shape):
-        params[name] = Tensor(np.ones(shape), requires_grad=True)
-
-    def linear(prefix, n_in, n_out):
-        normal(f"{prefix}.w", n_in, n_out)
-        zeros(f"{prefix}.b", n_out)
-
-    def layer_norm(prefix, dim):
-        ones(f"{prefix}.w", dim)
-        zeros(f"{prefix}.b", dim)
-
-    def attention(prefix, d):
-        for part in ("q", "k", "v", "o"):
-            linear(f"{prefix}.{part}", d, d)
-
-    d = config.d_model
-    normal("emb.weight", config.vocab_size, d)
-    normal("pos.weight", config.max_len, d)
-    for i in range(config.n_enc_layers):
-        layer_norm(f"enc.{i}.ln1", d)
-        attention(f"enc.{i}.attn", d)
-        layer_norm(f"enc.{i}.ln2", d)
-        linear(f"enc.{i}.ffn.1", d, config.d_ff)
-        linear(f"enc.{i}.ffn.2", config.d_ff, d)
-    layer_norm("enc.final_ln", d)
-    for i in range(config.n_dec_layers):
-        layer_norm(f"dec.{i}.ln1", d)
-        attention(f"dec.{i}.self_attn", d)
-        layer_norm(f"dec.{i}.ln2", d)
-        attention(f"dec.{i}.cross_attn", d)
-        layer_norm(f"dec.{i}.ln3", d)
-        linear(f"dec.{i}.ffn.1", d, config.d_ff)
-        linear(f"dec.{i}.ffn.2", config.d_ff, d)
-    layer_norm("dec.final_ln", d)
-    for name, n_labels in config.cls_heads:
-        linear(f"cls.{name}", d, n_labels)
+    params = {
+        name: Tensor(rng.normal(0.0, 0.02, shape) if init == "normal"
+                     else np.full(shape, _FILL[init]), requires_grad=True)
+        for name, shape, init in _layout(config)
+    }
     return ModelBundle(config, params)
 
 
@@ -138,9 +134,6 @@ class ModelBundle:
         self._rng = np.random.default_rng(0)
 
     # -- bookkeeping ------------------------------------------------------
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -186,27 +179,28 @@ class ModelBundle:
         pos = T.getitem(self._p("pos.weight"), np.arange(start, end))
         return self._dropout(tok + pos)
 
-    def _heads(self, x: Tensor, prefix: str) -> Tensor:
-        # Project (B, T, D) through ``prefix`` and split into (B, H, T, D/H).
+    def _heads(self, x: Tensor) -> Tensor:
+        # Split (B, T, D) into (B, H, T, D/H).
         b, t, d = x.shape
         h = self.config.n_heads
-        return T.transpose(T.reshape(self._linear(x, prefix), (b, t, h, d // h)), (0, 2, 1, 3))
+        return T.transpose(T.reshape(x, (b, t, h, d // h)), (0, 2, 1, 3))
 
-    def _attend(self, prefix: str, q: Tensor, k: Tensor, v: Tensor,
-                bias: np.ndarray | None) -> Tensor:
-        # q: (B, H, Tq, Dh), k/v: (B or 1, H, Tk, Dh), bias broadcastable to
-        # (B, H, Tq, Tk). Returns the output projection, (B, Tq, D).
+    def _attend(self, prefix: str, x: Tensor, k: Tensor, v: Tensor, bias: np.ndarray) -> Tensor:
+        # x: (B, Tq, D) queries before projection, k/v: (B or 1, H, Tk, Dh),
+        # bias broadcastable to (B, H, Tq, Tk). Returns the output
+        # projection, (B, Tq, D).
+        q = self._heads(self._linear(x, f"{prefix}.q"))
         b, h, tq, dh = q.shape
         scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-        if bias is not None:
-            scores = scores + Tensor(bias)
-        probs = T.softmax(scores, axis=-1)
+        probs = T.softmax(scores + Tensor(bias), axis=-1)
         ctx = T.matmul(probs, v)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, tq, h * dh))
         return self._linear(ctx, f"{prefix}.o")
 
     def _kv(self, prefix: str, kv: Tensor) -> tuple[Tensor, Tensor]:
-        return self._heads(kv, f"{prefix}.k"), self._heads(kv, f"{prefix}.v")
+        # K has no bias (see ``_layout``).
+        k = T.matmul(kv, self._p(f"{prefix}.k.w"))
+        return self._heads(k), self._heads(self._linear(kv, f"{prefix}.v"))
 
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
         return self._linear(T.gelu(self._linear(x, f"{prefix}.1")), f"{prefix}.2")
@@ -229,8 +223,7 @@ class ModelBundle:
         bias = self._pad_bias(enc_mask)
         for i in range(self.config.n_enc_layers):
             h = self._layer_norm(x, f"enc.{i}.ln1")
-            q = self._heads(h, f"enc.{i}.attn.q")
-            x = x + self._dropout(self._attend(f"enc.{i}.attn", q, *self._kv(f"enc.{i}.attn", h), bias))
+            x = x + self._dropout(self._attend(f"enc.{i}.attn", h, *self._kv(f"enc.{i}.attn", h), bias))
             x = x + self._dropout(self._ffn(self._layer_norm(x, f"enc.{i}.ln2"), f"enc.{i}.ffn"))
         return self._layer_norm(x, "enc.final_ln")
 
@@ -247,11 +240,9 @@ class ModelBundle:
         # input h; cross_kv(i) gives its cross-attention K/V.
         for i in range(self.config.n_dec_layers):
             h = self._layer_norm(x, f"dec.{i}.ln1")
-            q = self._heads(h, f"dec.{i}.self_attn.q")
-            x = x + self._dropout(self._attend(f"dec.{i}.self_attn", q, *self_kv(i, h), causal))
+            x = x + self._dropout(self._attend(f"dec.{i}.self_attn", h, *self_kv(i, h), causal))
             h = self._layer_norm(x, f"dec.{i}.ln2")
-            q = self._heads(h, f"dec.{i}.cross_attn.q")
-            x = x + self._dropout(self._attend(f"dec.{i}.cross_attn", q, *cross_kv(i), cross))
+            x = x + self._dropout(self._attend(f"dec.{i}.cross_attn", h, *cross_kv(i), cross))
             x = x + self._dropout(self._ffn(self._layer_norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
         return self._layer_norm(x, "dec.final_ln")
 
@@ -382,39 +373,50 @@ class ModelBundle:
 _CKPT_MAGIC = b"EMOGEN-CKPT-1\n"
 
 
+def _entries(shapes) -> list[dict]:
+    """Header entries for (name, shape) pairs stored back to back as ``<f8``."""
+    entries, offset = [], 0
+    for name, shape in shapes:
+        nbytes = 8 * math.prod(shape)
+        entries.append({"name": name, "shape": list(shape), "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    return entries
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Yield a temporary name that replaces ``path`` only when the block succeeds."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path, bundle: ModelBundle, meta: dict | None = None) -> None:
     """Write a self-describing binary container: JSON header + raw buffers.
 
     The byte stream is a pure function of config, parameters and meta, so
     identical runs produce identical checkpoint files.
     """
-    entries = []
-    blobs = []
-    offset = 0
-    for name, p in bundle.params.items():
-        a = np.ascontiguousarray(p.data, dtype="<f8")
-        entries.append(
-            {"name": name, "shape": list(a.shape), "offset": offset, "nbytes": a.nbytes}
-        )
-        blobs.append(a.tobytes())
-        offset += a.nbytes
     header = {
         "config": bundle.config.to_dict(),
         "meta": meta or {},
-        "params": entries,
+        "params": _entries((name, p.shape) for name, p in bundle.params.items()),
     }
     payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
+    with replacing(path) as tmp, open(tmp, "wb") as f:
         f.write(_CKPT_MAGIC)
         f.write(str(len(payload)).encode("ascii") + b"\n")
         f.write(payload)
         f.write(b"\n")
-        for blob in blobs:
-            f.write(blob)
+        for p in bundle.params.values():
+            f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path, expected_cls_heads=None) -> tuple[ModelBundle, dict]:
-    """Load a checkpoint; optionally insist on a particular CLS head layout."""
+    """Load a checkpoint holding its config's layout; optionally insist on CLS heads."""
     path = Path(path)
     with open(path, "rb") as f:
         magic = f.read(len(_CKPT_MAGIC))
@@ -427,12 +429,21 @@ def load_checkpoint(path, expected_cls_heads=None) -> tuple[ModelBundle, dict]:
             raise ConfigError(f"{path}: truncated or corrupt checkpoint header ({e})") from e
         f.readline()
         body = f.read()
-    declared = sum(entry["nbytes"] for entry in header["params"])
+    try:
+        config = ModelConfig.from_dict(header["config"])
+        got = list(header["params"])
+    except (ConfigError, KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: malformed checkpoint header ({e!r})") from e
+    want = _entries((name, shape) for name, shape, _ in _layout(config))
+    if got != want:
+        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+        raise ConfigError(f"{path}: checkpoint tensor {i} differs from its config's layout: "
+                          f"{json.dumps(got[i:i + 1])} != {json.dumps(want[i:i + 1])}")
+    declared = sum(entry["nbytes"] for entry in want)
     if len(body) != declared:
         raise ConfigError(
             f"{path}: checkpoint body holds {len(body)} bytes, its header declares {declared}"
         )
-    config = ModelConfig.from_dict(header["config"])
     if expected_cls_heads is not None:
         expected = tuple((str(n), int(c)) for n, c in expected_cls_heads)
         if config.cls_heads != expected:
@@ -441,9 +452,9 @@ def load_checkpoint(path, expected_cls_heads=None) -> tuple[ModelBundle, dict]:
                 f"do not match expected {expected}"
             )
     params: dict[str, Tensor] = {}
-    for entry in header["params"]:
+    for entry in want:
         start, nbytes = entry["offset"], entry["nbytes"]
         arr = np.frombuffer(body[start : start + nbytes], dtype="<f8").reshape(entry["shape"])
         params[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
     bundle = ModelBundle(config, params)
-    return bundle, header["meta"]
+    return bundle, header.get("meta", {})

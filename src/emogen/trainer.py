@@ -21,7 +21,7 @@ import numpy as np
 from .data import KIND_GENERATION, TaskSpec, subsample
 from .errors import ConfigError, DataError, NumericError
 from .losses import batch_classification_nll, label_smoothed_nll
-from .model import ModelBundle, save_checkpoint
+from .model import ModelBundle, replacing, save_checkpoint
 from .optim import AdamW, clip_global_norm
 from . import tensor as T
 from .text import (
@@ -95,14 +95,6 @@ class LossReport:
     epoch_valid: list[dict] = field(default_factory=list)
     best_epoch: int = -1
     best_valid_gen_loss: float = float("inf")
-
-    def to_dict(self) -> dict:
-        return {
-            "epoch_train_mean": self.epoch_train_mean,
-            "epoch_valid": self.epoch_valid,
-            "best_epoch": self.best_epoch,
-            "best_valid_gen_loss": self.best_valid_gen_loss,
-        }
 
 
 def build_schedule(batch_counts: dict[str, int], epoch: int, seed: int) -> list[BatchTicket]:
@@ -224,11 +216,13 @@ def train(
     """Run the full multi-task loop; returns the model and its loss history.
 
     Writes per-epoch checkpoints (optional), a best-by-validation-generation
-    -loss checkpoint, and a metrics.jsonl file when ``out_dir`` is given.
+    -loss checkpoint, and a metrics.jsonl file, one line as each epoch ends,
+    when ``out_dir`` is given.
     """
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+        (out_path / "metrics.jsonl").write_text("")
 
     model.seed_dropout([plan.seed, 0x5EED])
     model.train()
@@ -261,7 +255,6 @@ def train(
     report = LossReport()
     model.zero_grad()
     step_no = 0
-    metrics_lines = []
 
     for epoch in range(plan.epochs):
         schedule = build_schedule(batch_counts, epoch, plan.seed)
@@ -306,25 +299,20 @@ def train(
             report.best_valid_gen_loss = gen_valid
             report.best_epoch = epoch
 
-        metrics_lines.append(
-            json.dumps(
-                {"epoch": epoch, "train": train_mean, "valid": valid,
-                 "best_epoch": report.best_epoch},
-                sort_keys=True,
-            )
-        )
         if out_path is not None:
-            epoch_file = out_path / f"epoch_{epoch:03d}.ckpt"
             last_file = out_path / "last.ckpt"
             save_checkpoint(last_file, model, meta=_ckpt_meta(plan, epoch))
-            if plan.save_every_epoch:
-                shutil.copyfile(last_file, epoch_file)
+            copies = [out_path / f"epoch_{epoch:03d}.ckpt"] if plan.save_every_epoch else []
             if improved:
-                shutil.copyfile(last_file, out_path / "best.ckpt")
+                copies.append(out_path / "best.ckpt")
+            for target in copies:
+                with replacing(target) as tmp:
+                    shutil.copyfile(last_file, tmp)
+            with open(out_path / "metrics.jsonl", "a") as metrics:
+                metrics.write(json.dumps({"epoch": epoch, "train": train_mean, "valid": valid,
+                                          "best_epoch": report.best_epoch}, sort_keys=True) + "\n")
         log.info("epoch=%d done train=%s valid=%s", epoch, train_mean, valid)
 
-    if out_path is not None:
-        (out_path / "metrics.jsonl").write_text("\n".join(metrics_lines) + "\n")
     return model, report
 
 

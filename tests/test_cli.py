@@ -9,7 +9,8 @@ from emogen.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from emogen.data import load_classification_file, load_generation_file, label_set
 from emogen.errors import ConfigError
 from emogen.manifest import load_manifest, parse_variant
-from emogen.model import load_checkpoint, save_checkpoint
+from emogen.model import ModelBundle, load_checkpoint, save_checkpoint
+from emogen.tensor import Tensor
 
 TINY_MANIFEST = """\
 [model]
@@ -313,6 +314,28 @@ class TestGenerateCommand:
         needle = {"header": "truncated or corrupt checkpoint header",
                   "body": "checkpoint body holds"}[where]
         assert f"{bad}: {needle}" in caplog.text
+        assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize("change", ["extra_key_bias", "missing_final_ln_bias"])
+    def test_checkpoint_not_matching_layout_is_config_error(self, change, tiny_run_dir,
+                                                            utterances, tmp_path, caplog):
+        model, meta = load_checkpoint(tiny_run_dir / "best.ckpt")
+        params = {}
+        for name, p in model.params.items():
+            if change == "missing_final_ln_bias" and name == "dec.final_ln.b":
+                continue
+            params[name] = p
+            if change == "extra_key_bias" and name == "enc.0.attn.k.w":
+                # The layout of checkpoints written before K lost its bias.
+                params["enc.0.attn.k.b"] = Tensor(np.zeros(p.shape[1]))
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, ModelBundle(model.config, params), meta)
+        code = self.generate(bad, utterances, tmp_path / "o.txt", "--max-len", "16",
+                             "--vocab", str(tiny_run_dir / "vocab.txt"))
+        assert code == EXIT_CONFIG
+        assert f"{bad}: checkpoint tensor" in caplog.text
+        assert {"extra_key_bias": "enc.0.attn.k.b",
+                "missing_final_ln_bias": "dec.final_ln.b"}[change] in caplog.text
         assert not (tmp_path / "o.txt").exists()
 
     def test_non_finite_checkpoint_is_numeric_error(self, tiny_run_dir, utterances,

@@ -1,7 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from conftest import FullPrefixModel, finite_difference, relative_error
+from emogen import model as model_module
 from emogen import tensor as T
 from emogen.errors import ConfigError, DataError, NumericError
 from emogen.losses import batch_classification_nll, classification_nll, label_smoothed_nll
@@ -53,6 +57,25 @@ class TestInit:
         ):
             model = init_parameters(cfg, seed=0)
             assert sum(p.size for p in model.params.values()) == parameter_count(cfg)
+            assert parameter_count(cfg) == closed_form_count(cfg)
+
+    def test_default_shape_count(self):
+        assert parameter_count(ModelConfig(vocab_size=300, cls_heads=(("e6", 6),))) == 972_806
+
+
+def closed_form_count(config):
+    """Parameter count from the architecture; the LM head is tied, so free."""
+    d, f = config.d_model, config.d_ff
+    attn = 4 * d * d + 3 * d  # q, k, v, o weights; q, v, o biases (K has none)
+    ln = 2 * d
+    ffn = d * f + f + f * d + d
+    enc_layer = attn + 2 * ln + ffn
+    dec_layer = 2 * attn + 3 * ln + ffn
+    total = config.vocab_size * d + config.max_len * d
+    total += config.n_enc_layers * enc_layer + ln
+    total += config.n_dec_layers * dec_layer + ln
+    total += sum(d * n + n for _, n in config.cls_heads)
+    return total
 
 
 class TestForwardGeneration:
@@ -198,6 +221,32 @@ class TestHeadIsolation:
         ).backward()
         for name in shared:
             assert np.abs(tiny_model.params[name].grad).sum() > 0.0
+
+
+class TestNoDeadParameter:
+    @staticmethod
+    def losses(model, batch):
+        # The generation loss, then one classification loss per head.
+        logits = model.forward_generation(batch["enc_ids"], batch["enc_mask"], batch["dec_ids"])
+        b, t, v = logits.shape
+        yield label_smoothed_nll(logits.reshape((b * t, v)), batch["targets"].reshape(-1),
+                                 0.1, PAD_ID)
+        for name in model.cls_task_names():
+            logits = model.forward_classification(batch["enc_ids"], batch["enc_mask"], name)
+            yield batch_classification_nll(logits, np.array([1, 0, 1]))
+
+    def test_every_tensor_moves_some_loss(self, tiny_model, tiny_batch):
+        tiny_model.eval()
+        largest = dict.fromkeys(tiny_model.params, 0.0)
+        for loss in self.losses(tiny_model, tiny_batch):
+            tiny_model.zero_grad()
+            loss.backward()
+            norms = {n: np.linalg.norm(p.grad) for n, p in tiny_model.params.items()}
+            total = np.sqrt(sum(v ** 2 for v in norms.values()))
+            for n, v in norms.items():
+                largest[n] = max(largest[n], v / total)
+        dead = [n for n, ratio in largest.items() if not ratio > 1e-10]
+        assert not dead
 
 
 class TestGradientCheck:
@@ -399,6 +448,68 @@ class TestCheckpoint:
         path.write_bytes(b"hello world")
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    def test_save_that_fails_midway_keeps_the_previous_file(self, tiny_config, tmp_path,
+                                                           monkeypatch):
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(path, init_parameters(tiny_config, seed=1), meta={"epoch": 0})
+        before = path.read_bytes()
+
+        class TornFile:
+            """Writes the first three chunks, then fails like a full disk."""
+
+            def __init__(self, *args):
+                self.f = open(*args)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, chunk):
+                self.writes += 1
+                if self.writes > 3:
+                    raise OSError("No space left on device")
+                self.f.write(chunk)
+
+        monkeypatch.setattr(model_module, "open", TornFile, raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(path, init_parameters(tiny_config, seed=2), meta={"epoch": 1})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_checkpoint(path)[1] == {"epoch": 0}
+        assert [p.name for p in tmp_path.iterdir()] == ["last.ckpt"]
+
+    @staticmethod
+    def resave_header(path, edit):
+        data = path.read_bytes()
+        start = data.index(b"\n", len(b"EMOGEN-CKPT-1\n")) + 1
+        length = int(data[len(b"EMOGEN-CKPT-1\n"):start])
+        header = json.loads(data[start:start + length])
+        edit(header)
+        payload = json.dumps(header).encode()
+        path.write_bytes(b"EMOGEN-CKPT-1\n%d\n" % len(payload) + payload + data[start + length:])
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda h: h.pop("config"), "KeyError('config')"),
+        (lambda h: h.pop("params"), "KeyError('params')"),
+        (lambda h: h["config"].update(n_layers=2), "n_layers"),
+        (lambda h: h["config"].pop("vocab_size"), "vocab_size"),
+        (lambda h: h["params"].pop(), "cls.e2.b"),
+        (lambda h: h["params"].insert(0, h["params"].pop(1)), "pos.weight"),
+        (lambda h: h["params"][0]["shape"].reverse(), "emb.weight"),
+    ], ids=["no-config", "no-params", "unknown-key", "missing-key", "missing-tensor",
+            "reordered", "bad-shape"])
+    def test_header_not_matching_layout_is_config_error(self, tiny_model, tmp_path, edit,
+                                                        needle):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_model)
+        self.resave_header(path, edit)
+        with pytest.raises(ConfigError, match=re.escape(str(path))) as err:
+            load_checkpoint(path)
+        assert needle in str(err.value)
 
 
 class TestDropoutDeterminism:

@@ -5,6 +5,7 @@ from emogen.data import E6_LABELS, TaskSpec, gen_synthetic, split_811
 from emogen.errors import ConfigError, DataError, NumericError
 from emogen.losses import label_smoothed_nll
 from emogen.model import ModelConfig, init_parameters
+from emogen import trainer
 from emogen.optim import AdamW
 from emogen.trainer import (
     BatchTicket,
@@ -190,6 +191,30 @@ class TestTrain:
         assert (out / "metrics.jsonl").exists()
         for epoch in range(plan.epochs):
             assert (out / f"epoch_{epoch:03d}.ckpt").exists()
+
+    def test_metrics_streamed_as_each_epoch_ends(self, tmp_path, monkeypatch):
+        plan = TrainPlan(tasks=[GEN_SPEC, E6_SPEC], batch_size=16, epochs=4, seed=0,
+                         max_len=16, lr=1e-3, save_every_epoch=False)
+        plan, task_data, vocab, model = make_setup(plan)
+        full = tmp_path / "full"
+        train(plan, task_data, model, vocab, out_dir=full)
+        lines = (full / "metrics.jsonl").read_text().splitlines(keepends=True)
+        assert len(lines) == 4
+
+        calls = []
+
+        def validate_until_epoch_2(*args):
+            calls.append(len(calls))
+            if len(calls) == 3:
+                raise RuntimeError("killed in epoch 2")
+            return validate(*args)
+
+        monkeypatch.setattr(trainer, "validate", validate_until_epoch_2)
+        plan, task_data, vocab, model = make_setup(plan)
+        cut = tmp_path / "cut"
+        with pytest.raises(RuntimeError, match="epoch 2"):
+            train(plan, task_data, model, vocab, out_dir=cut)
+        assert (cut / "metrics.jsonl").read_text() == "".join(lines[:2])
 
     def test_heads_left_out_of_pool_stay_at_initialization(self):
         plan = TrainPlan(

@@ -108,6 +108,14 @@ def _layout(config: ModelConfig):
         yield from linear(f"cls.{name}", d, n_labels)
 
 
+def _check_layout(got: list, want: list, what: str) -> None:
+    """Raise ConfigError naming the first entry where ``got`` and ``want`` differ."""
+    if got != want:
+        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+        raise ConfigError(f"{what} tensor {i} differs from its config's layout: "
+                          f"{json.dumps(got[i:i + 1])} != {json.dumps(want[i:i + 1])}")
+
+
 def parameter_count(config: ModelConfig) -> int:
     """Number of scalars in a model of this config."""
     return sum(math.prod(shape) for _, shape, _ in _layout(config))
@@ -125,9 +133,11 @@ def init_parameters(config: ModelConfig, seed: int) -> "ModelBundle":
 
 
 class ModelBundle:
-    """Parameters plus the forward passes for both task families."""
+    """Parameters in ``_layout`` order plus the forward passes for both task families."""
 
     def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
+        _check_layout([[name, list(p.shape)] for name, p in params.items()],
+                      [[name, list(shape)] for name, shape, _ in _layout(config)], "model")
         self.config = config
         self.params = params
         self.training = True
@@ -373,10 +383,10 @@ class ModelBundle:
 _CKPT_MAGIC = b"EMOGEN-CKPT-1\n"
 
 
-def _entries(shapes) -> list[dict]:
-    """Header entries for (name, shape) pairs stored back to back as ``<f8``."""
+def _entries(config: ModelConfig) -> list[dict]:
+    """Header entries for the config's layout, stored back to back as ``<f8``."""
     entries, offset = [], 0
-    for name, shape in shapes:
+    for name, shape, _ in _layout(config):
         nbytes = 8 * math.prod(shape)
         entries.append({"name": name, "shape": list(shape), "offset": offset, "nbytes": nbytes})
         offset += nbytes
@@ -403,7 +413,7 @@ def save_checkpoint(path, bundle: ModelBundle, meta: dict | None = None) -> None
     header = {
         "config": bundle.config.to_dict(),
         "meta": meta or {},
-        "params": _entries((name, p.shape) for name, p in bundle.params.items()),
+        "params": _entries(bundle.config),
     }
     payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with replacing(path) as tmp, open(tmp, "wb") as f:
@@ -415,8 +425,8 @@ def save_checkpoint(path, bundle: ModelBundle, meta: dict | None = None) -> None
             f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path, expected_cls_heads=None) -> tuple[ModelBundle, dict]:
-    """Load a checkpoint holding its config's layout; optionally insist on CLS heads."""
+def load_checkpoint(path) -> tuple[ModelBundle, dict]:
+    """Load a checkpoint holding its config's layout."""
     path = Path(path)
     with open(path, "rb") as f:
         magic = f.read(len(_CKPT_MAGIC))
@@ -434,23 +444,13 @@ def load_checkpoint(path, expected_cls_heads=None) -> tuple[ModelBundle, dict]:
         got = list(header["params"])
     except (ConfigError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"{path}: malformed checkpoint header ({e!r})") from e
-    want = _entries((name, shape) for name, shape, _ in _layout(config))
-    if got != want:
-        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
-        raise ConfigError(f"{path}: checkpoint tensor {i} differs from its config's layout: "
-                          f"{json.dumps(got[i:i + 1])} != {json.dumps(want[i:i + 1])}")
+    want = _entries(config)
+    _check_layout(got, want, f"{path}: checkpoint")
     declared = sum(entry["nbytes"] for entry in want)
     if len(body) != declared:
         raise ConfigError(
             f"{path}: checkpoint body holds {len(body)} bytes, its header declares {declared}"
         )
-    if expected_cls_heads is not None:
-        expected = tuple((str(n), int(c)) for n, c in expected_cls_heads)
-        if config.cls_heads != expected:
-            raise ConfigError(
-                f"{path}: checkpoint cls heads {config.cls_heads} "
-                f"do not match expected {expected}"
-            )
     params: dict[str, Tensor] = {}
     for entry in want:
         start, nbytes = entry["offset"], entry["nbytes"]

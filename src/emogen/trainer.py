@@ -77,20 +77,9 @@ class BatchTicket:
 
 
 @dataclass
-class StepRecord:
-    epoch: int
-    step: int
-    task_name: str
-    batch_index: int
-    loss: float
-    weight: float
-
-
-@dataclass
 class LossReport:
-    """Per-step ledger plus per-epoch train means and validation losses."""
+    """Per-epoch train means and validation losses, and the best epoch."""
 
-    steps: list[StepRecord] = field(default_factory=list)
     epoch_train_mean: list[dict] = field(default_factory=list)
     epoch_valid: list[dict] = field(default_factory=list)
     best_epoch: int = -1
@@ -164,18 +153,25 @@ def run_step(
     weight: float,
     label_smoothing: float,
     grad_clip: float | None = None,
-) -> float:
-    """One update: backprop weight * loss, step, zero grads. Returns raw loss."""
+) -> tuple[float, float | None]:
+    """One update: backprop weight * loss, clip, step, zero grads.
+
+    Returns the raw loss and the pre-clip global grad norm (``None`` without clipping).
+    """
     loss = compute_task_loss(model, spec, batch, label_smoothing)
     raw = loss.item()
     if not np.isfinite(raw):
         raise NumericError(f"non-finite loss on task '{spec.name}'")
     (loss * weight).backward()
-    if grad_clip is not None:
-        clip_global_norm(model.params, grad_clip)
+    grad_norm = clip_global_norm(model.params, grad_clip) if grad_clip is not None else None
     optimizer.step()
     model.zero_grad()
-    return raw
+    return raw, grad_norm
+
+
+def _append_jsonl(path: Path, record: dict) -> None:
+    with open(path, "a") as f:
+        f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _pooled_parameters(model: ModelBundle, plan: TrainPlan) -> dict[str, T.Tensor]:
@@ -215,14 +211,16 @@ def train(
 ) -> tuple[ModelBundle, LossReport]:
     """Run the full multi-task loop; returns the model and its loss history.
 
-    Writes per-epoch checkpoints (optional), a best-by-validation-generation
-    -loss checkpoint, and a metrics.jsonl file, one line as each epoch ends,
-    when ``out_dir`` is given.
+    When ``out_dir`` is given, writes per-epoch checkpoints (optional), a
+    best-by-validation-generation-loss checkpoint, a steps.jsonl file, one
+    line as each step ends, and a metrics.jsonl file, one line as each epoch
+    ends.
     """
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / "metrics.jsonl").write_text("")
+        for name in ("steps.jsonl", "metrics.jsonl"):
+            (out_path / name).write_text("")
 
     model.seed_dropout([plan.seed, 0x5EED])
     model.train()
@@ -265,7 +263,7 @@ def train(
             spec = task_batches.spec
             batch = task_batches.batches[ticket.batch_index]
             try:
-                raw = run_step(
+                raw, grad_norm = run_step(
                     model, optimizer, spec, batch, spec.weight,
                     plan.label_smoothing, plan.grad_clip,
                 )
@@ -273,13 +271,12 @@ def train(
                 raise NumericError(
                     f"{e} (batch {ticket.batch_index}, epoch {epoch})"
                 ) from e
-            report.steps.append(
-                StepRecord(epoch, step_no, spec.name, ticket.batch_index, raw, spec.weight)
-            )
-            log.info(
-                "epoch=%d step=%d task=%s loss=%.6f weight=%.3f",
-                epoch, step_no, spec.name, raw, spec.weight,
-            )
+            if out_path is not None:
+                _append_jsonl(out_path / "steps.jsonl", {
+                    "epoch": epoch, "step": step_no, "task": spec.name,
+                    "batch": ticket.batch_index, "loss": raw, "weight": spec.weight,
+                    "grad_norm": grad_norm,
+                })
             sums[spec.name] += raw
             counts[spec.name] += 1
             step_no += 1
@@ -308,9 +305,8 @@ def train(
             for target in copies:
                 with replacing(target) as tmp:
                     shutil.copyfile(last_file, tmp)
-            with open(out_path / "metrics.jsonl", "a") as metrics:
-                metrics.write(json.dumps({"epoch": epoch, "train": train_mean, "valid": valid,
-                                          "best_epoch": report.best_epoch}, sort_keys=True) + "\n")
+            _append_jsonl(out_path / "metrics.jsonl", {"epoch": epoch, "train": train_mean,
+                                                       "valid": valid, "best_epoch": report.best_epoch})
         log.info("epoch=%d done train=%s valid=%s", epoch, train_mean, valid)
 
     return model, report

@@ -9,8 +9,7 @@ from emogen.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from emogen.data import load_classification_file, load_generation_file, label_set
 from emogen.errors import ConfigError
 from emogen.manifest import load_manifest, parse_variant
-from emogen.model import ModelBundle, load_checkpoint, save_checkpoint
-from emogen.tensor import Tensor
+from emogen.model import load_checkpoint, save_checkpoint
 
 TINY_MANIFEST = """\
 [model]
@@ -324,12 +323,21 @@ class TestGenerateCommand:
         for name, p in model.params.items():
             if change == "missing_final_ln_bias" and name == "dec.final_ln.b":
                 continue
-            params[name] = p
+            params[name] = p.data
             if change == "extra_key_bias" and name == "enc.0.attn.k.w":
                 # The layout of checkpoints written before K lost its bias.
-                params["enc.0.attn.k.b"] = Tensor(np.zeros(p.shape[1]))
+                params["enc.0.attn.k.b"] = np.zeros(p.shape[1])
+        # A bundle always holds its config's layout, so write the file by hand.
+        entries, offset = [], 0
+        for name, data in params.items():
+            entries.append({"name": name, "shape": list(data.shape), "offset": offset,
+                            "nbytes": data.nbytes})
+            offset += data.nbytes
+        header = json.dumps({"config": model.config.to_dict(), "meta": meta,
+                             "params": entries}).encode()
         bad = tmp_path / "bad.ckpt"
-        save_checkpoint(bad, ModelBundle(model.config, params), meta)
+        bad.write_bytes(b"EMOGEN-CKPT-1\n%d\n" % len(header) + header + b"\n"
+                        + b"".join(data.astype("<f8").tobytes() for data in params.values()))
         code = self.generate(bad, utterances, tmp_path / "o.txt", "--max-len", "16",
                              "--vocab", str(tiny_run_dir / "vocab.txt"))
         assert code == EXIT_CONFIG

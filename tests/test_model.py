@@ -62,6 +62,20 @@ class TestInit:
     def test_default_shape_count(self):
         assert parameter_count(ModelConfig(vocab_size=300, cls_heads=(("e6", 6),))) == 972_806
 
+    @pytest.mark.parametrize("change", ["extra_key_bias", "missing_final_ln_bias"])
+    def test_bundle_not_matching_layout_is_config_error(self, tiny_model, change):
+        params = {}
+        for name, p in tiny_model.params.items():
+            if change == "missing_final_ln_bias" and name == "dec.final_ln.b":
+                continue
+            params[name] = p
+            if change == "extra_key_bias" and name == "enc.0.attn.k.w":
+                params["enc.0.attn.k.b"] = Tensor(np.zeros(p.shape[1]))
+        with pytest.raises(ConfigError, match="differs from its config's layout") as err:
+            ModelBundle(tiny_model.config, params)
+        assert {"extra_key_bias": "enc.0.attn.k.b",
+                "missing_final_ln_bias": "dec.final_ln.b"}[change] in str(err.value)
+
 
 def closed_form_count(config):
     """Parameter count from the architecture; the LM head is tied, so free."""
@@ -429,13 +443,6 @@ class TestCheckpoint:
             tiny_batch["enc_ids"], tiny_batch["enc_mask"], tiny_batch["dec_ids"]
         ).data
         assert (a == b).all()
-
-    def test_mismatched_cls_heads_rejected(self, tiny_model, tmp_path):
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, tiny_model)
-        with pytest.raises(ConfigError):
-            load_checkpoint(path, expected_cls_heads=[("e6", 6), ("e12", 12)])
-        load_checkpoint(path, expected_cls_heads=[("e6", 6), ("e2", 2)])
 
     def test_identical_bytes_for_identical_models(self, tiny_config, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -1,3 +1,7 @@
+import json
+import logging
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from emogen.errors import ConfigError, DataError, NumericError
 from emogen.losses import label_smoothed_nll
 from emogen.model import ModelConfig, init_parameters
 from emogen import trainer
-from emogen.optim import AdamW
+from emogen.optim import AdamW, clip_global_norm
 from emogen.trainer import (
     BatchTicket,
     TaskBatches,
@@ -143,11 +147,27 @@ class TestStepWeighting:
             plan, model, batch = self._fresh()
             opt = AdamW(model.params, lr=1e-3)
             model.zero_grad()
-            losses.append(
-                run_step(model, opt, E6_SPEC, batch, weight=weight,
-                         label_smoothing=0.1, grad_clip=None)
-            )
+            raw, _ = run_step(model, opt, E6_SPEC, batch, weight=weight,
+                              label_smoothing=0.1, grad_clip=None)
+            losses.append(raw)
         assert losses[0] == losses[1]
+
+    def test_grad_norm_is_the_pre_clip_global_norm(self):
+        plan, model, batch = self._fresh()
+        model.zero_grad()
+        compute_task_loss(model, E6_SPEC, batch, 0.1).backward()
+        expected = clip_global_norm(model.params, math.inf)
+
+        plan, model, batch = self._fresh()
+        model.zero_grad()
+        _, grad_norm = run_step(model, AdamW(model.params, lr=1e-3), E6_SPEC, batch,
+                                weight=1.0, label_smoothing=0.1, grad_clip=1.0)
+        assert grad_norm == expected > 1.0
+
+        plan, model, batch = self._fresh()
+        model.zero_grad()
+        assert run_step(model, AdamW(model.params, lr=1e-3), E6_SPEC, batch,
+                        weight=1.0, label_smoothing=0.1, grad_clip=None)[1] is None
 
 
 class TestTrain:
@@ -157,22 +177,29 @@ class TestTrain:
             plan, task_data, vocab, model = make_setup()
             out = tmp_path / run
             train(plan, task_data, model, vocab, out_dir=out)
-            outs.append((out / "last.ckpt").read_bytes())
+            outs.append(((out / "last.ckpt").read_bytes(), (out / "steps.jsonl").read_bytes()))
         assert outs[0] == outs[1]
 
-    def test_ticket_conservation_and_ledger(self):
+    def test_ticket_conservation_and_ledger(self, tmp_path):
         plan, task_data, vocab, model = make_setup()
-        _, report = train(plan, task_data, model, vocab)
+        _, report = train(plan, task_data, model, vocab, out_dir=tmp_path)
+        steps = [json.loads(line) for line in (tmp_path / "steps.jsonl").read_text().splitlines()]
         gen_batches = int(np.ceil(len(task_data["response"]["train"]) / plan.batch_size))
         cls_batches = int(np.ceil(len(task_data["e6"]["train"]) / plan.batch_size))
         per_epoch = gen_batches + cls_batches
-        assert len(report.steps) == per_epoch * plan.epochs
+        assert len(steps) == per_epoch * plan.epochs
+        assert [s["step"] for s in steps] == list(range(len(steps)))
         for epoch in range(plan.epochs):
-            chunk = [s for s in report.steps if s.epoch == epoch]
-            tickets = {(s.task_name, s.batch_index) for s in chunk}
-            assert len(tickets) == per_epoch
+            chunk = [s for s in steps if s["epoch"] == epoch]
+            tickets = {(s["task"], s["batch"]) for s in chunk}
+            assert len(chunk) == len(tickets) == per_epoch
+            # the recorded raw losses are the ones the epoch means are made of
+            for spec in plan.tasks:
+                losses = [s["loss"] for s in chunk if s["task"] == spec.name]
+                assert sum(losses) / len(losses) == report.epoch_train_mean[epoch][spec.name]
         # every step is attributable to exactly one ticket
-        assert all(s.loss >= 0.0 and np.isfinite(s.loss) for s in report.steps)
+        assert all(s["loss"] >= 0.0 and np.isfinite(s["loss"]) for s in steps)
+        assert all(s["weight"] == 1.0 and s["grad_norm"] > 0.0 for s in steps)
 
     def test_validation_recorded_per_epoch(self):
         plan, task_data, vocab, model = make_setup()
@@ -200,6 +227,7 @@ class TestTrain:
         train(plan, task_data, model, vocab, out_dir=full)
         lines = (full / "metrics.jsonl").read_text().splitlines(keepends=True)
         assert len(lines) == 4
+        steps = (full / "steps.jsonl").read_text().splitlines(keepends=True)
 
         calls = []
 
@@ -215,6 +243,15 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="epoch 2"):
             train(plan, task_data, model, vocab, out_dir=cut)
         assert (cut / "metrics.jsonl").read_text() == "".join(lines[:2])
+        # validation ends an epoch, so all of epoch 2's steps finished
+        assert (cut / "steps.jsonl").read_text() == "".join(steps[:len(steps) * 3 // 4])
+
+    def test_logs_one_line_per_epoch_and_none_per_step(self, caplog):
+        plan, task_data, vocab, model = make_setup()
+        with caplog.at_level(logging.INFO):
+            train(plan, task_data, model, vocab)
+        assert [r.getMessage().split(" train=")[0] for r in caplog.records] == [
+            f"epoch={epoch} done" for epoch in range(plan.epochs)]
 
     def test_heads_left_out_of_pool_stay_at_initialization(self):
         plan = TrainPlan(

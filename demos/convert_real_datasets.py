@@ -3,8 +3,10 @@
 None of the raw corpora ship with this repository; point each converter at
 files you downloaded yourself. Output is always UTF-8 TSV, one example per
 line: ``utterance<TAB>response`` or ``text<TAB>label``. Tabs and newlines
-inside fields are replaced by spaces. Downstream, `emogen splits` handles
-8:1:1 splitting and subsampling for the corpora that need them.
+inside fields are replaced by spaces. The output is written only when the
+whole raw file converts: a missing or malformed raw file exits non-zero with
+a one-line message and leaves no output behind. Downstream, `emogen splits`
+handles 8:1:1 splitting and subsampling for the corpora that need them.
 
 Expected raw formats:
 
@@ -32,6 +34,7 @@ Usage:
 """
 
 import csv
+import os
 import sys
 
 CROWDFLOWER_LABELS = {
@@ -44,21 +47,17 @@ def _clean(field: str) -> str:
     return " ".join(field.split())
 
 
-def convert_daily_dialog(src, dst):
-    n = 0
-    with open(src, encoding="utf-8") as fin, open(dst, "w", encoding="utf-8") as fout:
+def convert_daily_dialog(src):
+    with open(src, encoding="utf-8") as fin:
         for line in fin:
             turns = [_clean(t) for t in line.split("__eou__")]
             turns = [t for t in turns if t]
             for utterance, response in zip(turns, turns[1:]):
-                fout.write(f"{utterance}\t{response}\n")
-                n += 1
-    return n
+                yield f"{utterance}\t{response}\n"
 
 
-def convert_tec(src, dst):
-    n = 0
-    with open(src, encoding="utf-8") as fin, open(dst, "w", encoding="utf-8") as fout:
+def convert_tec(src):
+    with open(src, encoding="utf-8") as fin:
         for line in fin:
             parts = line.rstrip("\n").split("\t")
             if len(parts) < 3:
@@ -66,15 +65,12 @@ def convert_tec(src, dst):
             text = _clean(parts[1])
             label = parts[2].replace("::", "").strip()
             if text and label:
-                fout.write(f"{text}\t{label}\n")
-                n += 1
-    return n
+                yield f"{text}\t{label}\n"
 
 
-def convert_sst2(src, dst):
+def convert_sst2(src):
     names = {"0": "negative", "1": "positive"}
-    n = 0
-    with open(src, encoding="utf-8") as fin, open(dst, "w", encoding="utf-8") as fout:
+    with open(src, encoding="utf-8") as fin:
         header = fin.readline()
         if not header.startswith("sentence"):
             raise SystemExit(f"{src}: expected a GLUE header line")
@@ -84,22 +80,16 @@ def convert_sst2(src, dst):
                 continue
             text = _clean(parts[0])
             if text:
-                fout.write(f"{text}\t{names[parts[1]]}\n")
-                n += 1
-    return n
+                yield f"{text}\t{names[parts[1]]}\n"
 
 
-def convert_crowdflower(src, dst):
-    n = 0
-    with open(src, encoding="utf-8", newline="") as fin, \
-            open(dst, "w", encoding="utf-8") as fout:
+def convert_crowdflower(src):
+    with open(src, encoding="utf-8", newline="") as fin:
         for row in csv.DictReader(fin):
             label = row.get("sentiment", "").strip()
             text = _clean(row.get("content", ""))
             if label in CROWDFLOWER_LABELS and text:
-                fout.write(f"{text}\t{label}\n")
-                n += 1
-    return n
+                yield f"{text}\t{label}\n"
 
 
 CONVERTERS = {
@@ -110,10 +100,25 @@ CONVERTERS = {
 }
 
 
+def convert(corpus, src, dst):
+    """Convert ``src`` and write ``dst`` whole; a failed conversion writes nothing."""
+    try:
+        lines = list(CONVERTERS[corpus](src))
+    except OSError as e:
+        raise SystemExit(f"{src}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise SystemExit(f"{src}: not UTF-8 ({e.reason})")
+    tmp = f"{dst}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fout:
+        fout.writelines(lines)
+    os.replace(tmp, dst)
+    return len(lines)
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 4 or sys.argv[1] not in CONVERTERS:
         raise SystemExit(
             f"usage: {sys.argv[0]} {{{'|'.join(CONVERTERS)}}} <raw-file> <out.tsv>"
         )
-    written = CONVERTERS[sys.argv[1]](sys.argv[2], sys.argv[3])
+    written = convert(*sys.argv[1:])
     print(f"wrote {written} examples to {sys.argv[3]}")

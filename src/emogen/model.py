@@ -13,6 +13,7 @@ import contextlib
 import json
 import math
 import os
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -307,6 +308,21 @@ class ModelBundle:
         pooled = T.getitem(hidden, (np.arange(enc_ids.shape[0]), lengths - 1))
         return self._linear(pooled, head)
 
+    @contextlib.contextmanager
+    def computing(self):
+        """Swap ``params`` for leaf copies in the compute dtype and yield the copies.
+
+        The masters come back on exit. Under float64 each copy shares its
+        master's buffer, so the forward pass computes exactly what it would
+        on the masters; gradients land on the copies' ``.grad``.
+        """
+        masters = self.params
+        self.params = {name: Tensor(p.data, requires_grad=True) for name, p in masters.items()}
+        try:
+            yield self.params
+        finally:
+            self.params = masters
+
     # -- incremental decoding ----------------------------------------------
 
     @contextlib.contextmanager
@@ -407,11 +423,17 @@ def replacing(path):
 def save_checkpoint(path, bundle: ModelBundle, meta: dict | None = None) -> None:
     """Write a self-describing binary container: JSON header + raw buffers.
 
-    The byte stream is a pure function of config, parameters and meta, so
-    identical runs produce identical checkpoint files.
+    The header carries the body's crc32. The byte stream is a pure function
+    of config, parameters and meta, so identical runs produce identical
+    checkpoint files.
     """
+    blobs = [np.ascontiguousarray(p.data, dtype="<f8") for p in bundle.params.values()]
+    crc = 0
+    for blob in blobs:
+        crc = zlib.crc32(blob, crc)
     header = {
         "config": bundle.config.to_dict(),
+        "crc32": crc,
         "meta": meta or {},
         "params": _entries(bundle.config),
     }
@@ -421,12 +443,12 @@ def save_checkpoint(path, bundle: ModelBundle, meta: dict | None = None) -> None
         f.write(str(len(payload)).encode("ascii") + b"\n")
         f.write(payload)
         f.write(b"\n")
-        for p in bundle.params.values():
-            f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        for blob in blobs:
+            f.write(blob)
 
 
 def load_checkpoint(path) -> tuple[ModelBundle, dict]:
-    """Load a checkpoint holding its config's layout."""
+    """Load a checkpoint holding its config's layout and a body matching its crc32."""
     path = Path(path)
     with open(path, "rb") as f:
         magic = f.read(len(_CKPT_MAGIC))
@@ -451,6 +473,12 @@ def load_checkpoint(path) -> tuple[ModelBundle, dict]:
         raise ConfigError(
             f"{path}: checkpoint body holds {len(body)} bytes, its header declares {declared}"
         )
+    if "crc32" not in header:
+        raise ConfigError(f"{path}: checkpoint header has no crc32")
+    crc = zlib.crc32(body)
+    if header["crc32"] != crc:
+        raise ConfigError(f"{path}: checkpoint body has crc32 {crc}, "
+                          f"its header declares {header['crc32']}")
     params: dict[str, Tensor] = {}
     for entry in want:
         start, nbytes = entry["offset"], entry["nbytes"]

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation.
 
 Every operation records its parents and a backward closure; calling
 ``backward()`` on a scalar walks the graph in reverse topological order,
@@ -7,7 +7,11 @@ into the ``.grad`` buffers of the leaves (parameters and inputs). Gradients
 add up across repeated backward calls until explicitly zeroed, which is what
 per-mini-batch training relies on.
 
-All storage is float64: finite difference checks need the headroom.
+Every tensor holds the compute dtype in force when it is made: float64 by
+default, which finite-difference checks need for headroom, and whatever
+``compute_dtype`` sets inside its block. Every array that enters the graph is
+wrapped as a Tensor, so inside the block the whole graph, gradients included,
+stays in that dtype.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _grad_enabled = True
+_dtype = np.float64
 
 
 @contextlib.contextmanager
@@ -39,8 +44,20 @@ def no_grad():
         _grad_enabled = prev
 
 
+@contextlib.contextmanager
+def compute_dtype(dtype):
+    """Make every tensor created inside the block hold ``dtype`` (training uses float32)."""
+    global _dtype
+    prev = _dtype
+    _dtype = dtype
+    try:
+        yield
+    finally:
+        _dtype = prev
+
+
 class Tensor:
-    """A numpy float64 array plus an optional gradient record.
+    """A numpy array in the compute dtype plus an optional gradient record.
 
     Only leaves (tensors not produced by an operation, such as parameters)
     hold a ``.grad`` buffer, kept across backward calls; intermediate nodes
@@ -50,7 +67,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=_dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()

@@ -5,6 +5,11 @@ seed derived from (seed, epoch), so task frequency is proportional to
 dataset size. Each step computes the ticket's task loss, backpropagates the
 loss scaled by the task weight, applies one optimizer update, and zeroes
 gradients. Reported losses are always the raw, unweighted task losses.
+
+``train`` computes every forward and backward pass in float32 on copies of
+the parameters; the masters, their gradients, the optimizer state and the
+checkpoints stay float64. Called on its own, ``run_step`` computes in
+whatever dtype is in force, float64 by default.
 """
 
 from __future__ import annotations
@@ -156,13 +161,21 @@ def run_step(
 ) -> tuple[float, float | None]:
     """One update: backprop weight * loss, clip, step, zero grads.
 
-    Returns the raw loss and the pre-clip global grad norm (``None`` without clipping).
+    The loss is backpropagated on the model's working copies (``computing``);
+    their gradients are added into the masters, which clipping and the
+    optimizer then act on. Returns the raw loss and the pre-clip global grad
+    norm (``None`` without clipping).
     """
-    loss = compute_task_loss(model, spec, batch, label_smoothing)
-    raw = loss.item()
-    if not np.isfinite(raw):
-        raise NumericError(f"non-finite loss on task '{spec.name}'")
-    (loss * weight).backward()
+    with model.computing() as copies:
+        loss = compute_task_loss(model, spec, batch, label_smoothing)
+        raw = loss.item()
+        if not np.isfinite(raw):
+            raise NumericError(f"non-finite loss on task '{spec.name}'")
+        (loss * weight).backward()
+    for name, p in model.params.items():
+        g = copies[name].grad
+        if g is not None:
+            p.grad = g.astype(np.float64) if p.grad is None else p.grad + g
     grad_norm = clip_global_norm(model.params, grad_clip) if grad_clip is not None else None
     optimizer.step()
     model.zero_grad()
@@ -254,60 +267,61 @@ def train(
     model.zero_grad()
     step_no = 0
 
-    for epoch in range(plan.epochs):
-        schedule = build_schedule(batch_counts, epoch, plan.seed)
-        sums = {spec.name: 0.0 for spec in plan.tasks}
-        counts = {spec.name: 0 for spec in plan.tasks}
-        for ticket in schedule:
-            task_batches = train_batches[ticket.task_name]
-            spec = task_batches.spec
-            batch = task_batches.batches[ticket.batch_index]
-            try:
-                raw, grad_norm = run_step(
-                    model, optimizer, spec, batch, spec.weight,
-                    plan.label_smoothing, plan.grad_clip,
-                )
-            except NumericError as e:
-                raise NumericError(
-                    f"{e} (batch {ticket.batch_index}, epoch {epoch})"
-                ) from e
-            if out_path is not None:
-                _append_jsonl(out_path / "steps.jsonl", {
-                    "epoch": epoch, "step": step_no, "task": spec.name,
-                    "batch": ticket.batch_index, "loss": raw, "weight": spec.weight,
-                    "grad_norm": grad_norm,
-                })
-            sums[spec.name] += raw
-            counts[spec.name] += 1
-            step_no += 1
+    with T.compute_dtype(np.float32):
+        for epoch in range(plan.epochs):
+            schedule = build_schedule(batch_counts, epoch, plan.seed)
+            sums = {spec.name: 0.0 for spec in plan.tasks}
+            counts = {spec.name: 0 for spec in plan.tasks}
+            for ticket in schedule:
+                task_batches = train_batches[ticket.task_name]
+                spec = task_batches.spec
+                batch = task_batches.batches[ticket.batch_index]
+                try:
+                    raw, grad_norm = run_step(
+                        model, optimizer, spec, batch, spec.weight,
+                        plan.label_smoothing, plan.grad_clip,
+                    )
+                except NumericError as e:
+                    raise NumericError(
+                        f"{e} (batch {ticket.batch_index}, epoch {epoch})"
+                    ) from e
+                if out_path is not None:
+                    _append_jsonl(out_path / "steps.jsonl", {
+                        "epoch": epoch, "step": step_no, "task": spec.name,
+                        "batch": ticket.batch_index, "loss": raw, "weight": spec.weight,
+                        "grad_norm": grad_norm,
+                    })
+                sums[spec.name] += raw
+                counts[spec.name] += 1
+                step_no += 1
 
-        train_mean = {
-            name: (sums[name] / counts[name]) if counts[name] else None
-            for name in sums
-        }
-        valid = validate(model, plan, valid_batches)
-        report.epoch_train_mean.append(train_mean)
-        report.epoch_valid.append(valid)
+            train_mean = {
+                name: (sums[name] / counts[name]) if counts[name] else None
+                for name in sums
+            }
+            valid = validate(model, plan, valid_batches)
+            report.epoch_train_mean.append(train_mean)
+            report.epoch_valid.append(valid)
 
-        gen_name = plan.generation_task.name
-        gen_valid = valid.get(gen_name)
-        improved = gen_valid is not None and gen_valid < report.best_valid_gen_loss
-        if improved:
-            report.best_valid_gen_loss = gen_valid
-            report.best_epoch = epoch
-
-        if out_path is not None:
-            last_file = out_path / "last.ckpt"
-            save_checkpoint(last_file, model, meta=_ckpt_meta(plan, epoch))
-            copies = [out_path / f"epoch_{epoch:03d}.ckpt"] if plan.save_every_epoch else []
+            gen_name = plan.generation_task.name
+            gen_valid = valid.get(gen_name)
+            improved = gen_valid is not None and gen_valid < report.best_valid_gen_loss
             if improved:
-                copies.append(out_path / "best.ckpt")
-            for target in copies:
-                with replacing(target) as tmp:
-                    shutil.copyfile(last_file, tmp)
-            _append_jsonl(out_path / "metrics.jsonl", {"epoch": epoch, "train": train_mean,
-                                                       "valid": valid, "best_epoch": report.best_epoch})
-        log.info("epoch=%d done train=%s valid=%s", epoch, train_mean, valid)
+                report.best_valid_gen_loss = gen_valid
+                report.best_epoch = epoch
+
+            if out_path is not None:
+                last_file = out_path / "last.ckpt"
+                save_checkpoint(last_file, model, meta=_ckpt_meta(plan, epoch))
+                copies = [out_path / f"epoch_{epoch:03d}.ckpt"] if plan.save_every_epoch else []
+                if improved:
+                    copies.append(out_path / "best.ckpt")
+                for target in copies:
+                    with replacing(target) as tmp:
+                        shutil.copyfile(last_file, tmp)
+                _append_jsonl(out_path / "metrics.jsonl", {"epoch": epoch, "train": train_mean,
+                                                           "valid": valid, "best_epoch": report.best_epoch})
+            log.info("epoch=%d done train=%s valid=%s", epoch, train_mean, valid)
 
     return model, report
 
@@ -315,7 +329,7 @@ def train(
 def validate(model: ModelBundle, plan: TrainPlan, valid_batches: dict[str, TaskBatches]) -> dict:
     """Unweighted per-task mean loss over the validation splits."""
     out = {}
-    with model.evaluating():
+    with model.evaluating(), model.computing():
         for spec in plan.tasks:
             tb = valid_batches.get(spec.name)
             if tb is None or not len(tb):

@@ -299,19 +299,33 @@ class TestGenerateCommand:
         assert f"{src}: cannot read input" in caplog.text
         assert not (tmp_path / "o.txt").exists()
 
-    @pytest.mark.parametrize("where", ["header", "body"])
+    @pytest.mark.parametrize("where", ["header", "body", "flipped_body_byte", "no_crc32"])
     def test_truncated_checkpoint_is_config_error(self, where, tiny_run_dir, utterances,
                                                   tmp_path, caplog):
         data = (tiny_run_dir / "best.ckpt").read_bytes()
         magic_and_length = data.index(b"\n", data.index(b"\n") + 1) + 1
-        cut = magic_and_length + 20 if where == "header" else len(data) - 100
         bad = tmp_path / "cut.ckpt"
-        bad.write_bytes(data[:cut])
+        if where == "flipped_body_byte":
+            data = bytearray(data)
+            data[-100] ^= 0x01
+            bad.write_bytes(data)
+        elif where == "no_crc32":
+            length = int(data[data.index(b"\n") + 1:magic_and_length])
+            header = json.loads(data[magic_and_length:magic_and_length + length])
+            del header["crc32"]
+            payload = json.dumps(header).encode()
+            bad.write_bytes(b"EMOGEN-CKPT-1\n%d\n" % len(payload) + payload
+                            + data[magic_and_length + length:])
+        else:
+            cut = magic_and_length + 20 if where == "header" else len(data) - 100
+            bad.write_bytes(data[:cut])
         code = self.generate(bad, utterances, tmp_path / "o.txt", "--max-len", "16",
                              "--vocab", str(tiny_run_dir / "vocab.txt"))
         assert code == EXIT_CONFIG
         needle = {"header": "truncated or corrupt checkpoint header",
-                  "body": "checkpoint body holds"}[where]
+                  "body": "checkpoint body holds",
+                  "flipped_body_byte": "checkpoint body has crc32",
+                  "no_crc32": "checkpoint header has no crc32"}[where]
         assert f"{bad}: {needle}" in caplog.text
         assert not (tmp_path / "o.txt").exists()
 

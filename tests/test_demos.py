@@ -81,3 +81,16 @@ def test_converter_usage_error_exits_nonzero(args, tmp_path):
     assert result.returncode != 0
     assert "usage:" in result.stderr
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("case", ["wrong-header", "missing-raw-file"])
+def test_converter_bad_raw_file_exits_nonzero_and_writes_nothing(case, tmp_path):
+    src, dst = tmp_path / "raw.txt", tmp_path / "out.tsv"
+    if case == "wrong-header":
+        src.write_text("text\tlabel\na gorgeous film\t1\n", encoding="utf-8")
+    result = subprocess.run([sys.executable, str(CONVERTER), "sst2", str(src), str(dst)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode != 0
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"{src}: ") and result.stderr.count("\n") == 1
+    assert not dst.exists() and not (tmp_path / "out.tsv.tmp").exists()

@@ -47,6 +47,17 @@ class TestBackwardContracts:
         assert not out.requires_grad
         assert out._backward is None
 
+    def test_compute_dtype_covers_ops_grads_and_scalars_and_restores_on_error(self):
+        with pytest.raises(RuntimeError, match="inside"), T.compute_dtype(np.float32):
+            w = Tensor(np.ones(3), requires_grad=True)
+            out = T.gelu(w * 2.0 + 1).sum()
+            out.backward()
+            assert w.data.dtype == out.data.dtype == w.grad.dtype == np.float32
+            assert T._wrap(0.5).data.dtype == np.float32
+            raise RuntimeError("inside")
+        assert Tensor(1.0).data.dtype == np.float64
+        assert (Tensor(np.ones(2, np.float32)) * 0.5).data.dtype == np.float64
+
     def test_grads_finite_after_composite(self):
         rng = np.random.default_rng(0)
         a = Tensor(rng.normal(size=(4, 5)), requires_grad=True)

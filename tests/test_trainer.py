@@ -8,7 +8,8 @@ import pytest
 from emogen.data import E6_LABELS, TaskSpec, gen_synthetic, split_811
 from emogen.errors import ConfigError, DataError, NumericError
 from emogen.losses import label_smoothed_nll
-from emogen.model import ModelConfig, init_parameters
+from emogen.model import ModelConfig, init_parameters, load_checkpoint
+from emogen import tensor as T
 from emogen import trainer
 from emogen.optim import AdamW, clip_global_norm
 from emogen.trainer import (
@@ -245,6 +246,54 @@ class TestTrain:
         assert (cut / "metrics.jsonl").read_text() == "".join(lines[:2])
         # validation ends an epoch, so all of epoch 2's steps finished
         assert (cut / "steps.jsonl").read_text() == "".join(steps[:len(steps) * 3 // 4])
+
+    def test_steps_compute_in_float32_over_float64_masters(self, tmp_path, monkeypatch):
+        loss_dtypes, optimizers = [], []
+
+        def spy_loss(*args):
+            loss = compute_task_loss(*args)
+            loss_dtypes.append(loss.data.dtype)
+            return loss
+
+        class SpyAdamW(AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(trainer, "compute_task_loss", spy_loss)
+        monkeypatch.setattr(trainer, "AdamW", SpyAdamW)
+        plan, task_data, vocab, model = make_setup()
+        train(plan, task_data, model, vocab, out_dir=tmp_path)
+        # every training step and every validation batch
+        assert len(loss_dtypes) > plan.epochs and set(loss_dtypes) == {np.dtype(np.float32)}
+        (opt,) = optimizers
+        moments = [*opt.first_moment.values(), *opt.second_moment.values()]
+        assert {m.dtype for m in moments} == {p.data.dtype for p in model.params.values()} \
+            == {p.grad.dtype for p in model.params.values()} == {np.dtype(np.float64)}
+        # the masters are not float32 values, and the checkpoint holds them bit for bit
+        assert any((p.data != p.data.astype(np.float32)).any() for p in model.params.values())
+        saved, _ = load_checkpoint(tmp_path / "last.ckpt")
+        for name, p in model.params.items():
+            assert saved.params[name].data.tobytes() == p.data.astype("<f8").tobytes(), name
+        # outside train() a step computes in float64 again
+        loss_dtypes.clear()
+        batch = TaskBatches(E6_SPEC, task_data["e6"]["train"], vocab, plan).batches[0]
+        run_step(model, opt, E6_SPEC, batch, 1.0, 0.1)
+        assert loss_dtypes == [np.float64]
+
+    def test_computing_restores_the_masters_when_the_block_raises(self):
+        _, _, _, model = make_setup()
+        masters = model.params
+        with pytest.raises(RuntimeError, match="inside"), T.compute_dtype(np.float32), \
+                model.computing() as copies:
+            assert model.params is copies and list(copies) == list(masters)
+            assert copies["emb.weight"].data.dtype == np.float32
+            raise RuntimeError("inside")
+        assert model.params is masters
+        with model.computing() as copies:
+            # under float64 the copies share the masters' buffers
+            assert all(np.shares_memory(copies[n].data, p.data) for n, p in masters.items())
+        assert model.params is masters
 
     def test_logs_one_line_per_epoch_and_none_per_step(self, caplog):
         plan, task_data, vocab, model = make_setup()

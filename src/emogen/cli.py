@@ -46,8 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--subsample", type=float, default=1.0)
-    p.add_argument("--subsample-scope", choices=("none", "total", "train"),
-                   default="none")
+    p.add_argument("--subsample-scope", choices=("total", "train"), default="train")
 
     p = sub.add_parser("train", help="train one model from a manifest")
     p.add_argument("--config", required=True)

@@ -147,12 +147,16 @@ def cmd_synth(out_dir, seed: int, size: int, cls_size: int | None = None) -> Non
 
 
 def cmd_splits(input_path, out_dir, seed: int, subsample_fraction: float = 1.0,
-               subsample_scope: str = "none") -> None:
+               subsample_scope: str = "train") -> None:
     """Split a two-column TSV into train/valid/test files at 8:1:1.
 
-    ``subsample_scope`` is ``total`` (sample before splitting) or ``train``
-    (sample the train split only).
+    ``subsample_scope`` is ``train`` (sample the train split only) or
+    ``total`` (sample before splitting); a fraction of 1 keeps every line.
     """
+    if not 0.0 < subsample_fraction <= 1.0:
+        raise ConfigError(f"--subsample must be in (0, 1], got {subsample_fraction}")
+    if subsample_scope not in ("total", "train"):
+        raise ConfigError(f"unknown subsample scope '{subsample_scope}'")
     input_path = Path(input_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,8 +169,6 @@ def cmd_splits(input_path, out_dir, seed: int, subsample_fraction: float = 1.0,
             if line.count("\t") != 1:
                 raise DataError(f"{input_path}:{lineno}: expected 2 tab-separated fields")
             lines.append(line)
-    if subsample_scope not in ("none", "total", "train"):
-        raise ConfigError(f"unknown subsample scope '{subsample_scope}'")
     if subsample_scope == "total":
         lines = subsample(lines, subsample_fraction, seed)
     tr, va, te = split_811(lines, seed)
@@ -202,10 +204,9 @@ def _train_one(manifest: RunManifest, plan: TrainPlan, task_data, out_dir: Path,
     # Vocabulary and model cover every declared task so all variants share
     # identical shapes and initialization.
     vocab = build_shared_vocab(task_data, manifest.tasks, manifest.vocab_min_count)
+    config = _model_config(manifest, vocab)
     out_dir.mkdir(parents=True, exist_ok=True)
     vocab.save(out_dir / "vocab.txt")
-    config = _model_config(manifest, vocab)
-    plan.max_len = min(plan.max_len, config.max_len)
     model = init_parameters(config, seed)
     model, report = train(plan, task_data, model, vocab, out_dir=out_dir)
     return model, vocab, report
@@ -324,7 +325,7 @@ def evaluate_variant(model: ModelBundle, manifest: RunManifest, task_data,
     hyps = _read_lines(hyp)
     refs = _read_lines(ref)
     row = build_report(hyps, refs).to_dict()
-    max_len = min(manifest.train.get("max_len", TrainPlan.max_len), model.config.max_len)
+    max_len = manifest.build_plan().max_len
     for spec in manifest.classification_tasks():
         test = task_data[spec.name].get("test", [])
         if not test:

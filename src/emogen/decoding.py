@@ -40,7 +40,6 @@ class BeamConfig:
 class Hypothesis:
     ids: list[int]  # starts with BOS
     log_prob: float
-    finished: bool
 
 
 def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -85,7 +84,7 @@ def beam_search(model, utterance: TokenSeq, config: BeamConfig) -> TokenSeq:
     """
     k = config.beam_width
     ctx = model.begin_decode(utterance.ids)
-    live = [Hypothesis([BOS_ID], 0.0, False)]
+    live = [Hypothesis([BOS_ID], 0.0)]
     last_live = live
     finished: list[Hypothesis] = []
 
@@ -103,11 +102,10 @@ def beam_search(model, utterance: TokenSeq, config: BeamConfig) -> TokenSeq:
             if token == EOS_ID:
                 # EOS retires a hypothesis only from inside the top k.
                 if rank < k:
-                    finished.append(Hypothesis(parent.ids + [token], score, True))
+                    finished.append(Hypothesis(parent.ids + [token], score))
             elif len(next_live) < k:
-                hyp = Hypothesis(parent.ids + [token], score, False)
+                hyp = Hypothesis(parent.ids + [token], score)
                 if len(hyp.ids) >= config.max_len:
-                    hyp.finished = True
                     finished.append(hyp)
                 else:
                     next_live.append(hyp)

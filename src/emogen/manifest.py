@@ -53,13 +53,15 @@ class RunManifest:
         return [t for t in self.tasks if t.kind == KIND_CLASSIFICATION]
 
     def build_plan(self, variant: Variant | None = None) -> TrainPlan:
-        """Train plan for one variant (or for the manifest's own weights)."""
+        """Train plan for one variant, or the manifest's own weights; max_len fits the model."""
         tasks = [self.generation_task]
         for spec in self.classification_tasks():
             weight = spec.weight if variant is None else variant.lambdas.get(spec.name, 0.0)
             if weight > 0.0:
                 tasks.append(dataclasses.replace(spec, weight=weight))
-        return TrainPlan(tasks=tasks, **self.train)
+        max_len = min(self.train.get("max_len", TrainPlan.max_len),
+                      self.model.get("max_len", ModelConfig.max_len))
+        return TrainPlan(tasks=tasks, **{**self.train, "max_len": max_len})
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -92,13 +94,8 @@ def _read_fields(cls, items: dict, where: str) -> dict:
 
 def parse_variant(spec: str, cls_names: list[str]) -> Variant:
     text = spec.strip()
-    inner = None
     if text.lower().startswith("lambda(") and text.endswith(")"):
-        inner = text[len("lambda(") : -1]
-    elif text.startswith("(") and text.endswith(")"):
-        inner = text[1:-1]
-    if inner is not None:
-        values = [v.strip() for v in inner.split(",")]
+        values = [v.strip() for v in text[len("lambda(") : -1].split(",")]
         if len(values) != len(cls_names):
             raise ConfigError(
                 f"variant '{spec}' has {len(values)} weights for "

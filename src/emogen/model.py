@@ -41,14 +41,16 @@ class ModelConfig:
     cls_heads: tuple[tuple[str, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
+        if self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise ConfigError(
-                f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
+                f"n_heads={self.n_heads} must be >= 1 and divide d_model={self.d_model}"
             )
         if self.vocab_size < 5:
             raise ConfigError("vocab_size must cover the 4 reserved ids")
         if self.max_len < 2:
             raise ConfigError("max_len must be at least 2")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         names = [name for name, _ in self.cls_heads]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate cls head names: {names}")

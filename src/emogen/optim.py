@@ -16,7 +16,7 @@ class AdamW:
 
     Decay multiplies each parameter by (1 - lr * weight_decay) before the
     moment-based step, so it never leaks into the gradient statistics.
-    Gradients themselves are left untouched; callers zero them explicitly.
+    Gradients themselves are left untouched; callers set them before each step.
     """
 
     def __init__(

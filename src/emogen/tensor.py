@@ -4,8 +4,7 @@ Every operation records its parents and a backward closure; calling
 ``backward()`` on a scalar walks the graph in reverse topological order,
 passing each node's gradient on to its parents, and accumulates gradients
 into the ``.grad`` buffers of the leaves (parameters and inputs). Gradients
-add up across repeated backward calls until explicitly zeroed, which is what
-per-mini-batch training relies on.
+add up across repeated backward calls until explicitly zeroed.
 
 Every tensor holds the compute dtype in force when it is made: float64 by
 default, which finite-difference checks need for headroom, and whatever

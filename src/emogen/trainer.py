@@ -3,8 +3,8 @@
 Every epoch pools all mini-batches of all tasks and shuffles the pool with a
 seed derived from (seed, epoch), so task frequency is proportional to
 dataset size. Each step computes the ticket's task loss, backpropagates the
-loss scaled by the task weight, applies one optimizer update, and zeroes
-gradients. Reported losses are always the raw, unweighted task losses.
+loss scaled by the task weight and applies one optimizer update. Reported
+losses are always the raw, unweighted task losses.
 
 ``train`` computes every forward and backward pass in float32 on copies of
 the parameters; the masters, their gradients, the optimizer state and the
@@ -65,10 +65,19 @@ class TrainPlan:
         n_gen = sum(1 for t in self.tasks if t.kind == KIND_GENERATION)
         if n_gen != 1:
             raise ConfigError(f"exactly one generation task required, got {n_gen}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        for key, ok, rule in (
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("lr", self.lr > 0.0, "> 0"),
+            ("eps", self.eps > 0.0, "> 0"),
+            ("grad_clip", self.grad_clip is None or self.grad_clip > 0.0, "> 0 or none"),
+            ("label_smoothing", 0.0 <= self.label_smoothing < 1.0, "in [0, 1)"),
+            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+            ("weight_decay", self.weight_decay >= 0.0, ">= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)}")
 
     @property
     def generation_task(self) -> TaskSpec:
@@ -159,11 +168,12 @@ def run_step(
     label_smoothing: float,
     grad_clip: float | None = None,
 ) -> tuple[float, float | None]:
-    """One update: backprop weight * loss, clip, step, zero grads.
+    """One update: backprop weight * loss, clip, step.
 
     The loss is backpropagated on the model's working copies (``computing``);
-    their gradients are added into the masters, which clipping and the
-    optimizer then act on. Returns the raw loss and the pre-clip global grad
+    each master the optimizer holds is assigned its copy's gradient in float64,
+    or zeros where the step did not reach it, and clipping and the optimizer
+    act on exactly those. Returns the raw loss and the pre-clip global grad
     norm (``None`` without clipping).
     """
     with model.computing() as copies:
@@ -172,13 +182,11 @@ def run_step(
         if not np.isfinite(raw):
             raise NumericError(f"non-finite loss on task '{spec.name}'")
         (loss * weight).backward()
-    for name, p in model.params.items():
+    for name, p in optimizer.params.items():
         g = copies[name].grad
-        if g is not None:
-            p.grad = g.astype(np.float64) if p.grad is None else p.grad + g
-    grad_norm = clip_global_norm(model.params, grad_clip) if grad_clip is not None else None
+        p.grad = np.zeros_like(p.data) if g is None else g.astype(np.float64)
+    grad_norm = clip_global_norm(optimizer.params, grad_clip) if grad_clip is not None else None
     optimizer.step()
-    model.zero_grad()
     return raw, grad_norm
 
 
@@ -264,7 +272,6 @@ def train(
 
     batch_counts = {name: len(tb) for name, tb in train_batches.items()}
     report = LossReport()
-    model.zero_grad()
     step_no = 0
 
     with T.compute_dtype(np.float32):
@@ -295,10 +302,7 @@ def train(
                 counts[spec.name] += 1
                 step_no += 1
 
-            train_mean = {
-                name: (sums[name] / counts[name]) if counts[name] else None
-                for name in sums
-            }
+            train_mean = {name: sums[name] / counts[name] for name in sums}
             valid = validate(model, plan, valid_batches)
             report.epoch_train_mean.append(train_mean)
             report.epoch_valid.append(valid)
@@ -312,7 +316,8 @@ def train(
 
             if out_path is not None:
                 last_file = out_path / "last.ckpt"
-                save_checkpoint(last_file, model, meta=_ckpt_meta(plan, epoch))
+                save_checkpoint(last_file, model, meta={"vocab": "vocab.txt", "seed": plan.seed,
+                                                        "epoch": epoch, "max_len": plan.max_len})
                 copies = [out_path / f"epoch_{epoch:03d}.ckpt"] if plan.save_every_epoch else []
                 if improved:
                     copies.append(out_path / "best.ckpt")
@@ -343,11 +348,3 @@ def validate(model: ModelBundle, plan: TrainPlan, valid_batches: dict[str, TaskB
             out[spec.name] = total / n
     return out
 
-
-def _ckpt_meta(plan: TrainPlan, epoch: int) -> dict:
-    return {
-        "vocab": "vocab.txt",
-        "seed": plan.seed,
-        "epoch": epoch,
-        "max_len": plan.max_len,
-    }

@@ -133,6 +133,27 @@ class TestSplits:
                      "--subsample-scope", "total"]) == EXIT_OK
         assert len((out / "all.train.tsv").read_text().splitlines()) == 80
 
+    def test_subsample_defaults_to_train_scope(self, tmp_path):
+        src = tmp_path / "all.tsv"
+        src.write_text("".join(f"u {i}\tv {i}\n" for i in range(100)))
+        full, part = tmp_path / "full", tmp_path / "part"
+        assert main(["splits", "--input", str(src), "--out", str(full), "--seed", "5"]) == EXIT_OK
+        assert main(["splits", "--input", str(src), "--out", str(part), "--seed", "5",
+                     "--subsample", "0.25"]) == EXIT_OK
+        assert len((part / "all.train.tsv").read_text().splitlines()) == 20
+        for split in ("valid", "test"):
+            name = f"all.{split}.tsv"
+            assert (part / name).read_bytes() == (full / name).read_bytes()
+
+    @pytest.mark.parametrize("fraction", ["7", "0", "-0.5"])
+    def test_subsample_outside_unit_interval_is_config_error(self, fraction, tmp_path, caplog):
+        src = tmp_path / "all.tsv"
+        src.write_text("".join(f"u {i}\tv {i}\n" for i in range(100)))
+        assert main(["splits", "--input", str(src), "--out", str(tmp_path / "s"),
+                     "--subsample", fraction]) == EXIT_CONFIG
+        assert "--subsample" in caplog.text
+        assert not (tmp_path / "s").exists()
+
 
 class TestManifest:
     def test_parses_tasks_and_variants(self, synth_dir):
@@ -152,6 +173,9 @@ class TestManifest:
             parse_variant("R+nope", ["e6"])
         with pytest.raises(ConfigError):
             parse_variant("lambda(2, 0, 0)", ["e6", "e2", "e12"])
+        # the bare spelling of lambda(...) is not a variant
+        with pytest.raises(ConfigError, match="must start with the generation task"):
+            parse_variant("(1, 0.5, 0)", ["e6", "e2", "e12"])
 
     def test_missing_file_is_config_error(self, synth_dir, tmp_path):
         text = (synth_dir / "manifest.ini").read_text().replace(
@@ -191,6 +215,16 @@ MALFORMED = {
     "grad_clip": ("lr = 0.001", "lr = 0.001\ngrad_clip = abc", "'grad_clip'"),
     "vocab_min_count": ("lr = 0.001", "lr = 0.001\nvocab_min_count = two",
                         "'vocab_min_count'"),
+    "n_heads_zero": ("n_heads = 2", "n_heads = 0", "n_heads=0 must be >= 1"),
+    "dropout_one": ("dropout = 0.0", "dropout = 1.0", "dropout must be in [0, 1)"),
+    "negative_lr": ("lr = 0.001", "lr = -0.001", "lr must be > 0"),
+    "negative_grad_clip": ("lr = 0.001", "lr = 0.001\ngrad_clip = -1", "grad_clip must be > 0"),
+    "label_smoothing": ("lr = 0.001", "lr = 0.001\nlabel_smoothing = 1.5",
+                        "label_smoothing must be in [0, 1)"),
+    "beta2_one": ("lr = 0.001", "lr = 0.001\nbeta2 = 1.0", "beta2 must be in [0, 1)"),
+    "zero_eps": ("lr = 0.001", "lr = 0.001\neps = 0", "eps must be > 0"),
+    "negative_weight_decay": ("lr = 0.001", "lr = 0.001\nweight_decay = -0.1",
+                              "weight_decay must be >= 0"),
 }
 
 

@@ -170,6 +170,24 @@ class TestStepWeighting:
         assert run_step(model, AdamW(model.params, lr=1e-3), E6_SPEC, batch,
                         weight=1.0, label_smoothing=0.1, grad_clip=None)[1] is None
 
+    def test_stale_master_gradients_do_not_count(self):
+        # e2 has a head but no place in the pool, so AdamW never sees it
+        results = []
+        for stale in (False, True):
+            plan, task_data, vocab, model = make_setup(cls_heads=(("e6", 6), ("e2", 2)))
+            batch = TaskBatches(E6_SPEC, task_data["e6"]["train"], vocab, plan).batches[0]
+            opt = AdamW(trainer._pooled_parameters(model, plan), lr=1e-3)
+            assert "cls.e2.w" in model.params and "cls.e2.w" not in opt.params
+            for p in model.params.values():
+                p.grad = np.ones_like(p.data) if stale else np.zeros_like(p.data)
+            _, grad_norm = run_step(model, opt, E6_SPEC, batch, weight=1.0,
+                                    label_smoothing=0.1, grad_clip=1.0)
+            results.append((grad_norm, {n: p.data.copy() for n, p in model.params.items()}))
+        (fresh_norm, fresh), (stale_norm, stale) = results
+        assert stale_norm == fresh_norm > 1.0
+        for n in fresh:
+            assert (fresh[n] == stale[n]).all(), n
+
 
 class TestTrain:
     def test_end_to_end_determinism(self, tmp_path):

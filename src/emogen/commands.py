@@ -188,28 +188,27 @@ def cmd_splits(input_path, out_dir, seed: int, subsample_fraction: float = 1.0,
 # -- train -------------------------------------------------------------------
 
 
-def _model_config(manifest: RunManifest, vocab: Vocab) -> ModelConfig:
+def _vocab_and_config(manifest: RunManifest, task_data) -> tuple[Vocab, ModelConfig]:
+    # Vocabulary and model cover every declared task so all variants share
+    # identical shapes and initialization.
+    vocab = build_shared_vocab(task_data, manifest.tasks, manifest.vocab_min_count)
     heads = tuple(
         (t.name, len(t.labels)) for t in manifest.classification_tasks()
     )
-    return ModelConfig(vocab_size=vocab.size, cls_heads=heads, **manifest.model)
+    return vocab, ModelConfig(vocab_size=vocab.size, cls_heads=heads, **manifest.model)
 
 
 def _load_all_tasks(manifest: RunManifest) -> dict:
     return {spec.name: load_task(spec) for spec in manifest.tasks}
 
 
-def _train_one(manifest: RunManifest, plan: TrainPlan, task_data, out_dir: Path,
-               seed: int) -> tuple[ModelBundle, Vocab, object]:
-    # Vocabulary and model cover every declared task so all variants share
-    # identical shapes and initialization.
-    vocab = build_shared_vocab(task_data, manifest.tasks, manifest.vocab_min_count)
-    config = _model_config(manifest, vocab)
+def _train_one(plan: TrainPlan, task_data, vocab: Vocab, config: ModelConfig,
+               out_dir: Path) -> ModelBundle:
     out_dir.mkdir(parents=True, exist_ok=True)
     vocab.save(out_dir / "vocab.txt")
-    model = init_parameters(config, seed)
-    model, report = train(plan, task_data, model, vocab, out_dir=out_dir)
-    return model, vocab, report
+    model = init_parameters(config, plan.seed)
+    model, _ = train(plan, task_data, model, vocab, out_dir=out_dir)
+    return model
 
 
 def cmd_train(manifest_path, out_dir) -> None:
@@ -217,7 +216,7 @@ def cmd_train(manifest_path, out_dir) -> None:
     out = Path(out_dir)
     task_data = _load_all_tasks(manifest)
     plan = manifest.build_plan()
-    _train_one(manifest, plan, task_data, out, plan.seed)
+    _train_one(plan, task_data, *_vocab_and_config(manifest, task_data), out)
     _write_echo(out / "echo.json", "train",
                 {"args": {"config": str(manifest.path), "out": str(out)},
                  "manifest": manifest.to_dict()})
@@ -360,18 +359,19 @@ def cmd_matrix(manifest_path, out_dir) -> list[dict]:
     manifest = load_manifest(manifest_path)
     if not manifest.variants:
         raise ConfigError("manifest declares no [matrix] variants")
+    task_data = _load_all_tasks(manifest)
+    plans = [manifest.build_plan(variant) for variant in manifest.variants]
+    vocab, config = _vocab_and_config(manifest, task_data)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    task_data = _load_all_tasks(manifest)
     rows: list[dict] = []
     failure: Exception | None = None
-    for variant in manifest.variants:
+    for variant, plan in zip(manifest.variants, plans):
         vdir = out / _variant_dirname(variant.name)
         try:
-            plan = manifest.build_plan(variant)
             log.info("matrix: training variant %s (tasks: %s)",
                      variant.name, [t.name for t in plan.tasks])
-            model, vocab, _ = _train_one(manifest, plan, task_data, vdir, plan.seed)
+            model = _train_one(plan, task_data, vocab, config, vdir)
             row = {"variant": variant.name}
             row.update(evaluate_variant(model, manifest, task_data, vocab, vdir))
             rows.append(row)

@@ -20,12 +20,31 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import NumericError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# float64 erf, Cephes ndtr.c (the algorithm of scipy.special.erf): x T(x²)/U(x²)
+# for |x| <= 1, else 1 - exp(-x²) P(|x|)/Q(|x|), where erf(8) already rounds to 1.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# float32 erf, the Eigen/XLA single-precision form: x p(x²)/q(x²) on [-4, 4],
+# where erf already rounds to ±1; under 5e-7 absolute error.
+_ERF32_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+            -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+            -1.60960333262415e-02)
+_ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+            -7.37332916720468e-03, -1.42647390514189e-02)
 
 _grad_enabled = True
 _dtype = np.float64
@@ -267,9 +286,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
     return _node(
-        np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),)
+        np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, np.argsort(axes)),)
     )
 
 
@@ -307,10 +325,51 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _node(data, (a,), backward)
 
 
+def _horner(x: np.ndarray, coefs) -> np.ndarray:
+    """The polynomial with coefficients ``coefs``, highest degree first, at ``x``."""
+    out = x * coefs[0]
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """The error function in the dtype of ``x``: ±inf gives ±1 and NaN gives NaN."""
+    shape = x.shape
+    # A flat view: ufuncs turn 0-d arrays into scalars, which the in-place steps cannot update.
+    x = x.reshape(-1)
+    if x.dtype == np.float32:
+        x = np.clip(x, -4.0, 4.0)
+        x2 = x * x
+        out = _horner(x2, _ERF32_P)
+        out *= x
+        out /= _horner(x2, _ERF32_Q)
+        # The rational alone overshoots 1 by up to 3.6e-7.
+        return np.clip(out, -1.0, 1.0, out=out).reshape(shape)
+    # The |x| <= 1 branch runs on x clipped to [-1, 1], so it stays finite where
+    # the tail branch, run on the elements it covers only, takes over.
+    out = np.clip(x, -1.0, 1.0)
+    z = out * out
+    out *= _horner(z, _ERF_T)
+    out /= _horner(z, _ERF_U)
+    a = np.abs(x)
+    tails = np.flatnonzero(a > 1.0)
+    if tails.size:
+        a = np.minimum(a.take(tails), 8.0)
+        tail = np.exp(-(a * a))
+        tail *= _horner(a, _ERFC_P)
+        tail /= _horner(a, _ERFC_Q)
+        np.subtract(1.0, tail, out=tail)
+        out.put(tails, np.copysign(tail, x.take(tails)))
+    return out.reshape(shape)
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit: x * Phi(x)."""
     x = a.data
-    phi_cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    phi_cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
     data = x * phi_cdf
 
     def backward(g):
@@ -352,12 +411,16 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # ndarray.mean and ndarray.var's own arithmetic, centring the input once for both.
+    count = np.intp(x.shape[-1])
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    np.true_divide(mu, count, out=mu, casting="unsafe")
+    centred = x.data - mu
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True)
+    np.true_divide(var, count, out=var, casting="unsafe")
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centred * inv
     data = xhat * weight.data + bias.data
-    n = x.shape[-1]
 
     def backward(g):
         gw_sum_axes = tuple(range(g.ndim - 1))

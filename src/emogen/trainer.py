@@ -68,6 +68,7 @@ class TrainPlan:
         for key, ok, rule in (
             ("epochs", self.epochs >= 1, ">= 1"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("max_len", self.max_len >= 2, ">= 2"),
             ("lr", self.lr > 0.0, "> 0"),
             ("eps", self.eps > 0.0, "> 0"),
             ("grad_clip", self.grad_clip is None or self.grad_clip > 0.0, "> 0 or none"),

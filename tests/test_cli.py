@@ -225,6 +225,7 @@ MALFORMED = {
     "zero_eps": ("lr = 0.001", "lr = 0.001\neps = 0", "eps must be > 0"),
     "negative_weight_decay": ("lr = 0.001", "lr = 0.001\nweight_decay = -0.1",
                               "weight_decay must be >= 0"),
+    "max_len_one": ("lr = 0.001", "lr = 0.001\nmax_len = 1", "max_len must be >= 2"),
 }
 
 
@@ -504,6 +505,15 @@ class TestMatrixCommand:
         assert main(["matrix", "--config", str(ini),
                      "--out", str(tmp_path / "m")]) == EXIT_CONFIG
         assert "[beam] max_len 32 exceeds [model] max_len 16" in caplog.text
+        assert not (tmp_path / "m").exists()
+
+    def test_bad_model_value_is_config_error_before_any_output(self, synth_dir, tmp_path,
+                                                                caplog):
+        ini = synth_dir / "dropout_one.ini"
+        ini.write_text(TINY_MANIFEST.replace("dropout = 0.0", "dropout = 1.0"))
+        assert main(["matrix", "--config", str(ini),
+                     "--out", str(tmp_path / "m")]) == EXIT_CONFIG
+        assert "dropout must be in [0, 1)" in caplog.text
         assert not (tmp_path / "m").exists()
 
     def test_empty_variant_list_is_config_error(self, synth_dir, tmp_path):

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emogen
 from emogen import tensor as T
 from emogen.errors import NumericError
 from emogen.tensor import Tensor
@@ -137,6 +144,94 @@ class TestOpGradients:
             an = gflat[i]
             rel = abs(fd - an) / max(1e-6, abs(fd), abs(an))
             assert rel < tol, f"entry {i}: analytic {an} vs numeric {fd}"
+
+
+class TestLayerNorm:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.lists(st.integers(1, 4), min_size=0, max_size=2),
+        st.integers(1, 70),
+        st.floats(-1e3, 1e3),
+        st.floats(1e-3, 1e3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_ndarray_mean_and_var_bit_for_bit(self, dtype, lead, n, shift, scale, seed):
+        rng = np.random.default_rng(seed)
+        with T.compute_dtype(dtype):
+            x = Tensor(rng.normal(size=(*lead, n)) * scale + shift)
+            w = Tensor(rng.normal(size=n))
+            b = Tensor(rng.normal(size=n))
+            out = T.layer_norm(x, w, b).data
+        mu = x.data.mean(axis=-1, keepdims=True)
+        var = x.data.var(axis=-1, keepdims=True)
+        want = (x.data - mu) * (1.0 / np.sqrt(var + 1e-5)) * w.data + b.data
+        assert out.dtype == want.dtype == dtype
+        assert out.tobytes() == want.tobytes()
+
+
+class TestErf:
+    """``_erf`` against mpmath: float64 in relative error, float32 in absolute error."""
+
+    @staticmethod
+    def _exact(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # erf(x) as a float64 head plus the float64 rounding of what the head misses.
+        with mp.workdps(40):
+            exact = [mp.erf(v) for v in x.tolist()]
+            head = np.array([float(e) for e in exact])
+            tail = np.array([float(e - h) for e, h in zip(exact, head.tolist())])
+        return head, tail
+
+    def test_float64_relative_error(self):
+        tails = np.linspace(1.0, 8.0, 7001)
+        x = np.concatenate([np.linspace(-10.0, 10.0, 2001), tails, -tails])
+        y = T._erf(x)
+        assert y.dtype == np.float64
+        head, tail = self._exact(x)
+        zero = head == 0.0
+        assert (y[zero] == 0.0).all()
+        # y and head are a few ulps apart, so y - head is exact.
+        rel = np.abs((y[~zero] - head[~zero]) - tail[~zero]) / np.abs(head[~zero])
+        assert rel.max() <= 5e-16, x[~zero][rel.argmax()]
+
+    def test_float32_absolute_error(self):
+        x = np.linspace(-6.0, 6.0, 60001, dtype=np.float32)
+        y = T._erf(x)
+        assert y.dtype == np.float32
+        err = np.abs(y.astype(np.float64) - self._exact(x)[0])
+        assert err.max() <= 5e-7, x[err.argmax()]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_values_bound_and_oddness(self, dtype):
+        x = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0], dtype=dtype)
+        grid = np.linspace(-12.0, 12.0, 24001, dtype=dtype)
+        with np.errstate(all="raise"):
+            y = T._erf(x)
+            on_grid = T._erf(grid)
+            mirrored = T._erf(-grid)
+        assert y.dtype == on_grid.dtype == dtype
+        assert y[0] == 1.0 and y[1] == -1.0 and np.isnan(y[2])
+        assert y[3] == 0.0 and not np.signbit(y[3])
+        assert y[4] == 0.0 and np.signbit(y[4])
+        assert (np.abs(on_grid) <= 1.0).all()
+        assert (mirrored == -on_grid).all()
+        scalar = T._erf(np.array(2.0, dtype=dtype))
+        assert scalar.shape == () and scalar.dtype == dtype and scalar == on_grid[14000]
+
+
+def test_importing_every_emogen_module_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(emogen.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    code = ("import importlib, pkgutil, sys, emogen, emogen.cli\n"
+            "for m in pkgutil.iter_modules(emogen.__path__):\n"
+            "    importlib.import_module('emogen.' + m.name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"
 
 
 class TestFlatMatmul:

@@ -31,7 +31,7 @@ from .errors import ConfigError, DataError
 from .manifest import RunManifest, Variant, load_manifest
 from .metrics import build_report, classification_scores
 from .model import ModelBundle, ModelConfig, init_parameters, load_checkpoint
-from .text import Vocab, encode, pad_batch
+from .text import Vocab, encode, pad_batch, read_lines
 from .trainer import TrainPlan, build_shared_vocab, train
 
 log = logging.getLogger("emogen.cli")
@@ -255,27 +255,22 @@ def cmd_generate(checkpoint_path, input_path, output_path, config: BeamConfig,
 # -- evaluate ------------------------------------------------------------------
 
 
-def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f]
-
-
 def _read_label_column(path) -> list[str]:
     # Accepts plain label-per-line files and two-column TSVs (label last).
-    return [line.split("\t")[-1].strip() for line in _read_lines(path) if line.strip()]
+    return [line.split("\t")[-1].strip() for line in read_lines(path) if line.strip()]
 
 
 def cmd_evaluate(hyp_path, ref_path, out_path, pred_path=None, gold_path=None,
                  labels_path=None) -> dict:
-    hyps = _read_lines(hyp_path)
-    refs = _read_lines(ref_path)
+    hyps = read_lines(hyp_path)
+    refs = read_lines(ref_path)
     pred = gold = labels = None
     if pred_path is not None:
         if gold_path is None or labels_path is None:
             raise ConfigError("--pred requires --gold and --labels")
         pred = _read_label_column(pred_path)
         gold = _read_label_column(gold_path)
-        labels = [l for l in _read_lines(labels_path) if l.strip()]
+        labels = [l for l in read_lines(labels_path) if l.strip()]
     report = build_report(hyps, refs, pred=pred, gold=gold, labels=labels)
     doc = report.to_dict()
     out_path = Path(out_path)
@@ -321,8 +316,8 @@ def evaluate_variant(model: ModelBundle, manifest: RunManifest, task_data,
     src.write_text("".join(ex.utterance + "\n" for ex in test_examples))
     ref.write_text("".join(ex.response + "\n" for ex in test_examples))
     generate_file(model, vocab, src, hyp, manifest.beam)
-    hyps = _read_lines(hyp)
-    refs = _read_lines(ref)
+    hyps = read_lines(hyp)
+    refs = read_lines(ref)
     row = build_report(hyps, refs).to_dict()
     max_len = manifest.build_plan().max_len
     for spec in manifest.classification_tasks():

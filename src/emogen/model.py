@@ -175,7 +175,7 @@ class ModelBundle:
         return T.dropout(x, self.config.dropout, self._rng)
 
     def _linear(self, x: Tensor, prefix: str) -> Tensor:
-        return T.matmul(x, self._p(f"{prefix}.w")) + self._p(f"{prefix}.b")
+        return T.linear(x, self._p(f"{prefix}.w"), self._p(f"{prefix}.b"))
 
     def _layer_norm(self, x: Tensor, prefix: str) -> Tensor:
         return T.layer_norm(x, self._p(f"{prefix}.w"), self._p(f"{prefix}.b"))
@@ -199,20 +199,13 @@ class ModelBundle:
         return T.transpose(T.reshape(x, (b, t, h, d // h)), (0, 2, 1, 3))
 
     def _attend(self, prefix: str, x: Tensor, k: Tensor, v: Tensor, bias: np.ndarray) -> Tensor:
-        # x: (B, Tq, D) queries before projection, k/v: (B or 1, H, Tk, Dh),
-        # bias broadcastable to (B, H, Tq, Tk). Returns the output
-        # projection, (B, Tq, D).
-        q = self._heads(self._linear(x, f"{prefix}.q"))
-        b, h, tq, dh = q.shape
-        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-        probs = T.softmax(scores + Tensor(bias), axis=-1)
-        ctx = T.matmul(probs, v)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, tq, h * dh))
-        return self._linear(ctx, f"{prefix}.o")
+        # x: (B, Tq, D) queries before projection; k, v and bias as T.attention takes them.
+        q = self._linear(x, f"{prefix}.q")
+        return self._linear(T.attention(q, k, v, bias, self.config.n_heads), f"{prefix}.o")
 
     def _kv(self, prefix: str, kv: Tensor) -> tuple[Tensor, Tensor]:
         # K has no bias (see ``_layout``).
-        k = T.matmul(kv, self._p(f"{prefix}.k.w"))
+        k = T.linear(kv, self._p(f"{prefix}.k.w"))
         return self._heads(k), self._heads(self._linear(kv, f"{prefix}.v"))
 
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
@@ -261,7 +254,7 @@ class ModelBundle:
 
     def lm_logits(self, hidden: Tensor) -> Tensor:
         # Weight-tied output projection: (B, T, D) @ (D, V).
-        return T.matmul(hidden, T.transpose(self._p("emb.weight"), (1, 0)))
+        return T.linear(hidden, T.transpose(self._p("emb.weight"), (1, 0)))
 
     def forward_generation(
         self, enc_ids: np.ndarray, enc_mask: np.ndarray, dec_ids: np.ndarray
@@ -450,9 +443,16 @@ def save_checkpoint(path, bundle: ModelBundle, meta: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> tuple[ModelBundle, dict]:
-    """Load a checkpoint holding its config's layout and a body matching its crc32."""
+    """Load a checkpoint holding its config's layout and a body matching its crc32.
+
+    Each tensor is read straight into its own array; the body is never held whole.
+    """
     path = Path(path)
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read checkpoint: {e.strerror}") from e
+    with f:
         magic = f.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise ConfigError(f"{path}: not a checkpoint file")
@@ -462,29 +462,29 @@ def load_checkpoint(path) -> tuple[ModelBundle, dict]:
         except ValueError as e:
             raise ConfigError(f"{path}: truncated or corrupt checkpoint header ({e})") from e
         f.readline()
-        body = f.read()
-    try:
-        config = ModelConfig.from_dict(header["config"])
-        got = list(header["params"])
-    except (ConfigError, KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: malformed checkpoint header ({e!r})") from e
-    want = _entries(config)
-    _check_layout(got, want, f"{path}: checkpoint")
-    declared = sum(entry["nbytes"] for entry in want)
-    if len(body) != declared:
-        raise ConfigError(
-            f"{path}: checkpoint body holds {len(body)} bytes, its header declares {declared}"
-        )
-    if "crc32" not in header:
-        raise ConfigError(f"{path}: checkpoint header has no crc32")
-    crc = zlib.crc32(body)
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        try:
+            config = ModelConfig.from_dict(header["config"])
+            got = list(header["params"])
+        except (ConfigError, KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"{path}: malformed checkpoint header ({e!r})") from e
+        want = _entries(config)
+        _check_layout(got, want, f"{path}: checkpoint")
+        declared = sum(entry["nbytes"] for entry in want)
+        if size != declared:
+            raise ConfigError(
+                f"{path}: checkpoint body holds {size} bytes, its header declares {declared}"
+            )
+        if "crc32" not in header:
+            raise ConfigError(f"{path}: checkpoint header has no crc32")
+        params, crc = {}, 0
+        for entry in want:
+            arr = np.empty(entry["shape"], dtype="<f8")
+            if f.readinto(arr) != entry["nbytes"]:
+                raise ConfigError(f"{path}: checkpoint body ends inside tensor {entry['name']}")
+            crc = zlib.crc32(arr, crc)
+            params[entry["name"]] = Tensor(arr, requires_grad=True)
     if header["crc32"] != crc:
         raise ConfigError(f"{path}: checkpoint body has crc32 {crc}, "
                           f"its header declares {header['crc32']}")
-    params: dict[str, Tensor] = {}
-    for entry in want:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        arr = np.frombuffer(body[start : start + nbytes], dtype="<f8").reshape(entry["shape"])
-        params[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
-    bundle = ModelBundle(config, params)
-    return bundle, header.get("meta", {})
+    return ModelBundle(config, params), header.get("meta", {})

@@ -257,27 +257,25 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise NumericError("matmul operands must have at least 2 dimensions")
-    if b.ndim == 2:
-        # Fold a's leading axes into rows: one 2-D GEMM for the output and
-        # one for each gradient, with no per-batch weight gradients to sum.
-        a2 = a.data.reshape(-1, a.shape[-1])
-        data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+    if a.ndim < 2 or b.ndim != 2:
+        raise NumericError("matmul takes an operand of at least 2 dimensions and a 2-D one")
+    return linear(a, b)
 
-        def backward_2d(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
 
-        return _node(data, (a, b), backward_2d)
-    data = a.data @ b.data
+def linear(a: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``a @ w (+ b)`` as one node: a's rows folded to 2-D, the bias added in place."""
+    a2 = a.data.reshape(-1, a.shape[-1])
+    out = a2 @ w.data
+    if b is not None:
+        out += b.data
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _reduce_to(ga, a.shape), _reduce_to(gb, b.shape)
+        g2 = g.reshape(-1, g.shape[-1])
+        grads = (g2 @ w.data.T).reshape(a.shape), a2.T @ g2
+        return grads if b is None else (*grads, g2.sum(axis=0))
 
-    return _node(data, (a, b), backward)
+    return _node(out.reshape(a.shape[:-1] + w.shape[-1:]),
+                 (a, w) if b is None else (a, w, b), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -390,23 +388,54 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(out, (a,), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along ``axis``.
-
-    Rejects non-finite input outright: a NaN or Inf in logits is always an
-    upstream bug and would silently poison every downstream probability.
-    """
-    x = a.data
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    # A NaN or Inf in the input is an upstream bug that would poison every probability.
     if not np.isfinite(x).all():
         raise NumericError("softmax input contains non-finite values")
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stabilized softmax along ``axis``."""
+    p = _softmax(a.data, axis)
 
     def backward(g):
         return (p * (g - (g * p).sum(axis=axis, keepdims=True)),)
 
     return _node(p, (a,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int) -> Tensor:
+    """Multi-head attention of (B, Tq, D) queries over (B or 1, H, Tk, D/H) keys and values.
+
+    ``bias`` is additive, broadcastable to (B, H, Tq, Tk); backward keeps only the probabilities.
+    Both passes replay the numpy calls of the nodes this one replaces, on the same layouts.
+    """
+    b, tq, d = q.shape
+    dh = d // n_heads
+    q4 = q.data.reshape(b, tq, n_heads, dh).transpose(0, 2, 1, 3)
+    kt = k.data.transpose(0, 1, 3, 2)
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=_dtype)
+    scores = q4 @ kt
+    scores *= scale
+    scores += np.asarray(bias, dtype=_dtype)
+    p = _softmax(scores, -1)
+    ctx = p @ v.data
+
+    def backward(g):
+        gc = g.reshape(b, tq, n_heads, dh).transpose(0, 2, 1, 3)
+        gv = _reduce_to(np.swapaxes(p, -1, -2) @ gc, v.shape)
+        gp = gc @ np.swapaxes(v.data, -1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gs *= scale
+        gq = (gs @ np.swapaxes(kt, -1, -2)).transpose(0, 2, 1, 3).reshape(b, tq, d)
+        gk = _reduce_to(np.swapaxes(q4, -1, -2) @ gs, kt.shape).transpose(0, 1, 3, 2)
+        return gq, gk, gv
+
+    return _node(ctx.transpose(0, 2, 1, 3).reshape(b, tq, d), (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -441,5 +470,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; the caller decides whether training is active."""
     if rate <= 0.0:
         return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return mul(x, Tensor(mask))
+    keep = rng.random(x.shape) >= rate
+    # keep * scale is the float64 keep / (1 - rate) cast to the compute dtype.
+    scale = np.asarray(1.0 / (1.0 - rate), dtype=_dtype)
+    return _node(x.data * (keep * scale), (x,), lambda g: (g * (keep * scale),))

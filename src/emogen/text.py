@@ -33,6 +33,17 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; one that cannot be read as such is a DataError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return [line.rstrip("\n") for line in f]
+    except OSError as e:
+        raise DataError(f"{path}: cannot read: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+
+
 class Vocab:
     """Bijective token/id map over the non-reserved entries."""
 
@@ -67,8 +78,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        with open(path, encoding="utf-8") as f:
-            lines = [line.rstrip("\n") for line in f]
+        lines = read_lines(path)
         if len(lines) < 4 or tuple(lines[:4]) != RESERVED_TOKENS:
             raise DataError(f"{path}: missing reserved-token header")
         return cls(lines[4:])

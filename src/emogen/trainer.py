@@ -174,15 +174,19 @@ def run_step(
     The loss is backpropagated on the model's working copies (``computing``);
     each master the optimizer holds is assigned its copy's gradient in float64,
     or zeros where the step did not reach it, and clipping and the optimizer
-    act on exactly those. Returns the raw loss and the pre-clip global grad
-    norm (``None`` without clipping).
+    act on exactly those, which live until the next step begins, never beside
+    its graph. Returns the raw loss and the pre-clip global grad norm
+    (``None`` without clipping).
     """
+    for p in optimizer.params.values():
+        p.grad = None
     with model.computing() as copies:
         loss = compute_task_loss(model, spec, batch, label_smoothing)
         raw = loss.item()
         if not np.isfinite(raw):
             raise NumericError(f"non-finite loss on task '{spec.name}'")
         (loss * weight).backward()
+        del loss
     for name, p in optimizer.params.items():
         g = copies[name].grad
         p.grad = np.zeros_like(p.data) if g is None else g.astype(np.float64)

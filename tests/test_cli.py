@@ -407,6 +407,66 @@ class TestGenerateCommand:
         assert "non-finite logits" in caplog.text
 
 
+class TestUnreadableInputs:
+    """A missing or non-UTF-8 input file exits 2 or 3 and names its path."""
+
+    @pytest.fixture
+    def utterances(self, tmp_path):
+        path = tmp_path / "utt.txt"
+        path.write_text("i feel glum about the news\n")
+        return path
+
+    def generate(self, checkpoint, src, out, *extra):
+        return main(["generate", "--checkpoint", str(checkpoint), "--input", str(src),
+                     "--output", str(out), "--max-len", "16", *extra])
+
+    def test_missing_checkpoint_is_config_error(self, utterances, tmp_path, caplog):
+        missing = tmp_path / "nope.ckpt"
+        assert self.generate(missing, utterances, tmp_path / "o.txt") == EXIT_CONFIG
+        assert f"{missing}: cannot read checkpoint" in caplog.text
+        assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize("case", ["missing_vocab_flag", "no_vocab_beside", "non_utf8_vocab"])
+    def test_unreadable_vocab_is_data_error(self, case, tiny_run_dir, utterances, tmp_path,
+                                            caplog):
+        checkpoint, extra = tiny_run_dir / "best.ckpt", []
+        if case == "missing_vocab_flag":
+            vocab = tmp_path / "nope.txt"
+            extra = ["--vocab", str(vocab)]
+        elif case == "no_vocab_beside":
+            checkpoint = tmp_path / "alone" / "best.ckpt"
+            checkpoint.parent.mkdir()
+            checkpoint.write_bytes((tiny_run_dir / "best.ckpt").read_bytes())
+            vocab = checkpoint.parent / "vocab.txt"
+        else:
+            vocab = tmp_path / "vocab.txt"
+            vocab.write_bytes((tiny_run_dir / "vocab.txt").read_bytes() + b"caf\xe9\n")
+            extra = ["--vocab", str(vocab)]
+        assert self.generate(checkpoint, utterances, tmp_path / "o.txt", *extra) == EXIT_DATA
+        assert f"{vocab}: " in caplog.text
+        assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize("which", ["hyp", "ref", "pred", "gold"])
+    @pytest.mark.parametrize("how", ["missing", "non_utf8"])
+    def test_unreadable_evaluate_input_is_data_error(self, which, how, tmp_path, caplog):
+        files = {"hyp": "a b c\n", "ref": "a b c\n", "pred": "joy\n", "gold": "x\tjoy\n",
+                 "labels": "anger\njoy\n"}
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
+        if how == "missing":
+            paths[which].unlink()
+        else:
+            paths[which].write_bytes(b"\xff\xfe\n")
+        argv = ["evaluate", "--out", str(tmp_path / "rep.json")]
+        for name, path in paths.items():
+            argv += [f"--{name}", str(path)]
+        assert main(argv) == EXIT_DATA
+        assert f"{paths[which]}: " in caplog.text
+        assert not (tmp_path / "rep.json").exists()
+
+
 class TestEvaluateCommand:
     def test_generation_only(self, tmp_path):
         hyp, ref, out = tmp_path / "h.txt", tmp_path / "r.txt", tmp_path / "rep.json"

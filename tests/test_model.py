@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -449,6 +452,32 @@ class TestCheckpoint:
         save_checkpoint(a, init_parameters(tiny_config, seed=9), meta={"vocab": "v"})
         save_checkpoint(b, init_parameters(tiny_config, seed=9), meta={"vocab": "v"})
         assert a.read_bytes() == b.read_bytes()
+
+    def test_load_holds_the_parameters_once(self, tmp_path):
+        config = ModelConfig(vocab_size=300, cls_heads=(("e6", 6),))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_parameters(config, seed=0))
+        nbytes = 8 * parameter_count(config)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(p.data.nbytes for p in loaded.params.values()) == nbytes
+        assert peak < 1.25 * nbytes
+
+    def test_body_shorter_than_its_size_is_config_error(self, tiny_config, tmp_path,
+                                                       monkeypatch):
+        # The file shrinks between the size check and the read.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_parameters(tiny_config, seed=3))
+        path.write_bytes(path.read_bytes()[:-8])
+        fstat = os.fstat
+        monkeypatch.setattr(model_module.os, "fstat",
+                            lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 8))
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: checkpoint body ends"):
+            load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -129,6 +129,34 @@ class TestOpGradients:
                 p,
             )
 
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_linear_gradients(self, lead, with_bias):
+        rng = np.random.default_rng(11)
+        shapes = [(*lead, 4), (4, 5)] + [(5,)] * with_bias
+        params = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        up = rng.normal(size=(*lead, 5))
+        T.mul(T.linear(*params), Tensor(up)).sum().backward()
+        for p in params:
+            self._check_fd(
+                lambda: float((T.linear(*(Tensor(q.data) for q in params)).data * up).sum()), p)
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    @pytest.mark.parametrize("kv_batch", [1, 2])
+    def test_attention_gradients(self, n_heads, kv_batch):
+        rng = np.random.default_rng(13)
+        q = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        k = Tensor(rng.normal(size=(kv_batch, n_heads, 5, 4 // n_heads)), requires_grad=True)
+        v = Tensor(rng.normal(size=(kv_batch, n_heads, 5, 4 // n_heads)), requires_grad=True)
+        bias = np.where(rng.random((2, 1, 1, 5)) < 0.3, -1e9, 0.0)
+        bias[:, ..., 0] = 0.0
+        up = rng.normal(size=(2, 3, 4))
+        T.mul(T.attention(q, k, v, bias, n_heads), Tensor(up)).sum().backward()
+        for p in (q, k, v):
+            self._check_fd(lambda: float((T.attention(Tensor(q.data), Tensor(k.data),
+                                                      Tensor(v.data), bias, n_heads).data
+                                          * up).sum()), p)
+
     @staticmethod
     def _check_fd(loss_fn, p, h=1e-4, tol=1e-3):
         flat = p.data.reshape(-1)
@@ -337,3 +365,136 @@ class TestSoftmaxKernel:
         a = T.softmax(Tensor(x), axis=-1).data
         b = T.softmax(Tensor(x.copy()), axis=-1).data
         assert (a == b).all()
+
+
+# -- the composed graphs that linear, attention and dropout replace -------------
+
+
+def _matmul_2d(a, w):
+    # A product with a 2-D right operand, folded to one 2-D GEMM.
+    a2 = a.data.reshape(-1, a.shape[-1])
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g2 @ w.data.T).reshape(a.shape), a2.T @ g2
+
+    return T._node((a2 @ w.data).reshape(a.shape[:-1] + w.shape[-1:]), (a, w), backward)
+
+
+def _batched_matmul(a, b):
+    def backward(g):
+        return (T._reduce_to(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                T._reduce_to(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+
+    return T._node(a.data @ b.data, (a, b), backward)
+
+
+def _softmax_last_axis(a):
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+
+    return T._node(p, (a,), backward)
+
+
+def _composed_linear(a, w, b=None):
+    out = _matmul_2d(a, w)
+    return out if b is None else out + b
+
+
+def _split_heads(x, h):
+    b, t, d = x.shape
+    return T.transpose(T.reshape(x, (b, t, h, d // h)), (0, 2, 1, 3))
+
+
+def _composed_attention(q, k, v, bias, n_heads):
+    q = _split_heads(q, n_heads)
+    b, h, tq, dh = q.shape
+    scores = _batched_matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+    probs = _softmax_last_axis(scores + Tensor(bias))
+    ctx = _batched_matmul(probs, v)
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, tq, h * dh))
+
+
+def _composed_dropout(x, rate, rng):
+    return T.mul(x, Tensor((rng.random(x.shape) >= rate) / (1.0 - rate)))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFusedNodes:
+    """``linear``, ``attention`` and ``dropout`` match the composed graphs bit for bit."""
+
+    @staticmethod
+    def _run(build, leaves, up):
+        # Forward, then backward of sum(out * up); returns the output and every leaf's grad.
+        leaves = [Tensor(x.copy(), requires_grad=True) for x in leaves]
+        out = build(*leaves)
+        T.mul(out, Tensor(up)).sum().backward()
+        return [out.data] + [p.grad for p in leaves]
+
+    def _check(self, dtype, build, reference, leaves, out_shape, seed):
+        up = np.random.default_rng(seed).normal(size=out_shape)
+        with T.compute_dtype(dtype):
+            got = self._run(build, leaves, up)
+            want = self._run(reference, leaves, up)
+        assert got[0].dtype == dtype
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert _same_bits(g, w), f"array {i} differs"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(7,), (3, 5), (2, 2, 3)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_linear(self, dtype, lead, with_bias):
+        rng = np.random.default_rng(len(lead))
+        leaves = [rng.normal(size=(*lead, 16)), rng.normal(size=(16, 24))]
+        if with_bias:
+            leaves.append(rng.normal(size=24))
+        self._check(dtype, T.linear, _composed_linear, leaves, (*lead, 24), 1)
+        if not with_bias:
+            self._check(dtype, T.matmul, _composed_linear, leaves, (*lead, 24), 1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    @pytest.mark.parametrize("mask", ["padding", "causal"])
+    @pytest.mark.parametrize("kv_batch", ["full", "one"])
+    def test_attention(self, dtype, n_heads, mask, kv_batch):
+        b, tq, tk, d = 3, 5, 7, 16
+        rng = np.random.default_rng(n_heads)
+        if mask == "padding":
+            keep = np.ones((b, tk), dtype=bool)
+            keep[1, 4:] = keep[2, 6:] = False
+            bias = np.where(keep, 0.0, -1e9)[:, None, None, :]
+        else:
+            bias = np.triu(np.full((tq, tk), -1e9), k=tk - tq + 1)[None, None]
+        bk = b if kv_batch == "full" else 1
+        # K and V enter as split heads of (B, Tk, D) projections, as the model makes them.
+        leaves = [rng.normal(size=(b, tq, d)), rng.normal(size=(bk, tk, d)),
+                  rng.normal(size=(bk, tk, d))]
+
+        def build(attend):
+            return lambda q, k, v: attend(q, _split_heads(k, n_heads), _split_heads(v, n_heads),
+                                          bias, n_heads)
+
+        self._check(dtype, build(T.attention), build(_composed_attention), leaves, (b, tq, d), 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.1, 0.3])
+    def test_dropout(self, dtype, rate):
+        x = np.random.default_rng(3).normal(size=(4, 6, 8))
+        rngs = [np.random.default_rng(5), np.random.default_rng(5)]
+        self._check(dtype, lambda t: T.dropout(t, rate, rngs[0]),
+                    lambda t: _composed_dropout(t, rate, rngs[1]), [x], x.shape, 3)
+        # The same draws: the streams stay in step.
+        assert rngs[0].random() == rngs[1].random()
+
+    def test_attention_rejects_non_finite_scores(self):
+        q = Tensor(np.full((1, 2, 4), np.nan))
+        kv = Tensor(np.zeros((1, 2, 3, 2)))
+        with pytest.raises(NumericError, match="non-finite"):
+            T.attention(q, kv, kv, np.zeros((1, 1, 1, 3)), 2)

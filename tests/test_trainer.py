@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -187,6 +188,48 @@ class TestStepWeighting:
         assert stale_norm == fresh_norm > 1.0
         for n in fresh:
             assert (fresh[n] == stale[n]).all(), n
+
+
+class TestStepBuffers:
+    """A step's float64 gradients and its graph never coexist."""
+
+    def _step_setup(self):
+        plan, task_data, vocab, model = make_setup()
+        batch = TaskBatches(E6_SPEC, task_data["e6"]["train"], vocab, plan).batches[0]
+        return model, AdamW(model.params, lr=1e-3), batch
+
+    def test_no_master_holds_a_gradient_while_the_loss_is_computed(self, monkeypatch):
+        model, opt, batch = self._step_setup()
+        model.zero_grad()
+        seen = []
+
+        def spy_loss(*args):
+            seen.append(sorted(n for n, p in opt.params.items() if p.grad is not None))
+            return compute_task_loss(*args)
+
+        monkeypatch.setattr(trainer, "compute_task_loss", spy_loss)
+        for _ in range(2):
+            run_step(model, opt, E6_SPEC, batch, 1.0, 0.1, 1.0)
+            assert {p.grad.dtype for p in opt.params.values()} == {np.dtype(np.float64)}
+        assert seen == [[], []]
+
+    def test_the_graph_is_freed_before_the_gradients_are_clipped(self, monkeypatch):
+        model, opt, batch = self._step_setup()
+        refs, alive = [], []
+
+        def spy_loss(*args):
+            loss = compute_task_loss(*args)
+            refs.append(weakref.ref(loss._parents[0].data))
+            return loss
+
+        def spy_clip(params, max_norm):
+            alive.append(refs[-1]() is not None)
+            return clip_global_norm(params, max_norm)
+
+        monkeypatch.setattr(trainer, "compute_task_loss", spy_loss)
+        monkeypatch.setattr(trainer, "clip_global_norm", spy_clip)
+        run_step(model, opt, E6_SPEC, batch, 1.0, 0.1, 1.0)
+        assert alive == [False]
 
 
 class TestTrain:

@@ -19,6 +19,7 @@ from .data import (
     KIND_GENERATION,
     GenerationExample,
     TaskSpec,
+    _parse_lines,
     gen_synthetic,
     label_set,
     load_task,
@@ -27,7 +28,7 @@ from .data import (
     subsample,
 )
 from .decoding import BeamConfig, generate_file
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .manifest import RunManifest, Variant, load_manifest
 from .metrics import build_report, classification_scores
 from .model import ModelBundle, ModelConfig, init_parameters, load_checkpoint
@@ -150,6 +151,7 @@ def cmd_splits(input_path, out_dir, seed: int, subsample_fraction: float = 1.0,
                subsample_scope: str = "train") -> None:
     """Split a two-column TSV into train/valid/test files at 8:1:1.
 
+    Each line is written as its two trimmed fields joined by one tab, as ingestion reads them.
     ``subsample_scope`` is ``train`` (sample the train split only) or
     ``total`` (sample before splitting); a fraction of 1 keeps every line.
     """
@@ -158,23 +160,15 @@ def cmd_splits(input_path, out_dir, seed: int, subsample_fraction: float = 1.0,
     if subsample_scope not in ("total", "train"):
         raise ConfigError(f"unknown subsample scope '{subsample_scope}'")
     input_path = Path(input_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(input_path, encoding="utf-8") as f:
-        lines = []
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.count("\t") != 1:
-                raise DataError(f"{input_path}:{lineno}: expected 2 tab-separated fields")
-            lines.append(line)
+    lines = [f"{a}\t{b}" for _, a, b in _parse_lines(input_path)]
     if subsample_scope == "total":
         lines = subsample(lines, subsample_fraction, seed)
     tr, va, te = split_811(lines, seed)
     if subsample_scope == "train":
         tr = subsample(tr, subsample_fraction, seed)
     stem = input_path.stem
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for split_name, chunk in (("train", tr), ("valid", va), ("test", te)):
         (out / f"{stem}.{split_name}.tsv").write_text(
             "".join(line + "\n" for line in chunk)

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
+from .text import read_lines
 
 KIND_GENERATION = "generation"
 KIND_CLASSIFICATION = "classification"
@@ -148,17 +149,13 @@ class TaskSpec:
 
 
 def _parse_lines(path):
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DataError(
-                    f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
-                )
-            yield lineno, fields[0].strip(), fields[1].strip()
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}")
+        yield lineno, fields[0].strip(), fields[1].strip()
 
 
 def load_generation_file(path) -> list[GenerationExample]:

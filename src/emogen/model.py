@@ -192,12 +192,6 @@ class ModelBundle:
         pos = T.getitem(self._p("pos.weight"), np.arange(start, end))
         return self._dropout(tok + pos)
 
-    def _heads(self, x: Tensor) -> Tensor:
-        # Split (B, T, D) into (B, H, T, D/H).
-        b, t, d = x.shape
-        h = self.config.n_heads
-        return T.transpose(T.reshape(x, (b, t, h, d // h)), (0, 2, 1, 3))
-
     def _attend(self, prefix: str, x: Tensor, k: Tensor, v: Tensor, bias: np.ndarray) -> Tensor:
         # x: (B, Tq, D) queries before projection; k, v and bias as T.attention takes them.
         q = self._linear(x, f"{prefix}.q")
@@ -205,8 +199,7 @@ class ModelBundle:
 
     def _kv(self, prefix: str, kv: Tensor) -> tuple[Tensor, Tensor]:
         # K has no bias (see ``_layout``).
-        k = T.linear(kv, self._p(f"{prefix}.k.w"))
-        return self._heads(k), self._heads(self._linear(kv, f"{prefix}.v"))
+        return T.linear(kv, self._p(f"{prefix}.k.w")), self._linear(kv, f"{prefix}.v")
 
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
         return self._linear(T.gelu(self._linear(x, f"{prefix}.1")), f"{prefix}.2")
@@ -234,23 +227,29 @@ class ModelBundle:
         return self._layer_norm(x, "enc.final_ln")
 
     def decode(self, enc_out: Tensor, enc_mask: np.ndarray, dec_ids: np.ndarray) -> Tensor:
-        t = dec_ids.shape[1]
-        return self._decoder_stack(self._embed(dec_ids), self._causal_bias(t, t),
-                                   self._pad_bias(enc_mask),
-                                   lambda i, h: self._kv(f"dec.{i}.self_attn", h),
-                                   lambda i: self._kv(f"dec.{i}.cross_attn", enc_out))
+        cross = [self._kv(f"dec.{i}.cross_attn", enc_out) for i in range(self.config.n_dec_layers)]
+        return self._decoder(self._embed(dec_ids), self._pad_bias(enc_mask), cross)[0]
 
-    def _decoder_stack(self, x: Tensor, causal: np.ndarray, cross: np.ndarray,
-                       self_kv, cross_kv) -> Tensor:
-        # self_kv(i, h) gives layer i's self-attention K/V for its normed
-        # input h; cross_kv(i) gives its cross-attention K/V.
+    def _decoder(self, x: Tensor, cross_bias: np.ndarray, cross: list,
+                 past: list | None = None) -> tuple[Tensor, list]:
+        # cross: each layer's cross-attention K/V. past: each layer's cached
+        # self-attention K/V as (n, t_past, D) arrays, which x's positions
+        # follow; the new K/V are appended to them and returned per layer.
+        start = past[0][0].shape[1] if past else 0
+        causal = self._causal_bias(x.shape[1], start + x.shape[1])
+        layers = []
         for i in range(self.config.n_dec_layers):
             h = self._layer_norm(x, f"dec.{i}.ln1")
-            x = x + self._dropout(self._attend(f"dec.{i}.self_attn", h, *self_kv(i, h), causal))
+            k, v = self._kv(f"dec.{i}.self_attn", h)
+            if past is not None:
+                k, v = (np.concatenate([p, new.data], axis=1) for p, new in zip(past[i], (k, v)))
+                layers.append((k, v))
+                k, v = Tensor(k), Tensor(v)
+            x = x + self._dropout(self._attend(f"dec.{i}.self_attn", h, k, v, causal))
             h = self._layer_norm(x, f"dec.{i}.ln2")
-            x = x + self._dropout(self._attend(f"dec.{i}.cross_attn", h, *cross_kv(i), cross))
+            x = x + self._dropout(self._attend(f"dec.{i}.cross_attn", h, *cross[i], cross_bias))
             x = x + self._dropout(self._ffn(self._layer_norm(x, f"dec.{i}.ln3"), f"dec.{i}.ffn"))
-        return self._layer_norm(x, "dec.final_ln")
+        return self._layer_norm(x, "dec.final_ln"), layers
 
     def lm_logits(self, hidden: Tensor) -> Tensor:
         # Weight-tied output projection: (B, T, D) @ (D, V).
@@ -361,25 +360,13 @@ class ModelBundle:
         keys = [tuple(p) for p in prefixes]
         rows = [ctx["rows"].get(key[:-1]) for key in keys]
         if None in rows:
-            start = 0
-            empty = np.zeros((n, self.config.n_heads, 0, self.config.d_model // self.config.n_heads))
+            start, empty = 0, np.zeros((n, 0, self.config.d_model))
             past = [(empty, empty)] * self.config.n_dec_layers
         else:
-            start = t - 1
-            past = [(k[rows], v[rows]) for k, v in ctx["self_kv"]]
-        layers = []
-
-        def self_kv(i, h):
-            k, v = self._kv(f"dec.{i}.self_attn", h)
-            k = np.concatenate([past[i][0], k.data], axis=2)
-            v = np.concatenate([past[i][1], v.data], axis=2)
-            layers.append((k, v))
-            return Tensor(k), Tensor(v)
-
+            start, past = t - 1, [(k[rows], v[rows]) for k, v in ctx["self_kv"]]
         with self.evaluating():
             x = self._embed(np.asarray(prefixes, dtype=np.int64)[:, start:], start)
-            hidden = self._decoder_stack(x, self._causal_bias(t - start, t), ctx["cross_bias"],
-                                         self_kv, lambda i: ctx["cross"][i])
+            hidden, layers = self._decoder(x, ctx["cross_bias"], ctx["cross"], past)
             last = T.getitem(hidden, (np.arange(n), np.full(n, t - start - 1)))
             logits = self.lm_logits(last).data
         if not np.isfinite(logits).all():

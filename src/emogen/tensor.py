@@ -409,33 +409,41 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int) -> Tensor:
-    """Multi-head attention of (B, Tq, D) queries over (B or 1, H, Tk, D/H) keys and values.
+    """Multi-head attention of (B, Tq, D) queries over (B or 1, Tk, D) keys and values.
 
-    ``bias`` is additive, broadcastable to (B, H, Tq, Tk); backward keeps only the probabilities.
-    Both passes replay the numpy calls of the nodes this one replaces, on the same layouts.
+    Heads are split and merged inside. ``bias`` is additive, broadcastable to (B, H, Tq, Tk);
+    backward keeps only the probabilities. Both passes replay the numpy calls of the nodes
+    this one replaces, on the same layouts.
     """
-    b, tq, d = q.shape
+    d = q.shape[-1]
     dh = d // n_heads
-    q4 = q.data.reshape(b, tq, n_heads, dh).transpose(0, 2, 1, 3)
-    kt = k.data.transpose(0, 1, 3, 2)
+
+    def split(x):  # (·, T, D) -> (·, H, T, D/H), a view
+        return x.reshape(x.shape[0], x.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):  # (·, H, T, D/H) -> (·, T, D)
+        return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], d)
+
+    q4, k4, v4 = split(q.data), split(k.data), split(v.data)
+    kt = k4.transpose(0, 1, 3, 2)
     scale = np.asarray(1.0 / math.sqrt(dh), dtype=_dtype)
     scores = q4 @ kt
     scores *= scale
     scores += np.asarray(bias, dtype=_dtype)
     p = _softmax(scores, -1)
-    ctx = p @ v.data
+    ctx = p @ v4
 
     def backward(g):
-        gc = g.reshape(b, tq, n_heads, dh).transpose(0, 2, 1, 3)
-        gv = _reduce_to(np.swapaxes(p, -1, -2) @ gc, v.shape)
-        gp = gc @ np.swapaxes(v.data, -1, -2)
+        gc = split(g)
+        gv = _reduce_to(np.swapaxes(p, -1, -2) @ gc, v4.shape)
+        gp = gc @ np.swapaxes(v4, -1, -2)
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
         gs *= scale
-        gq = (gs @ np.swapaxes(kt, -1, -2)).transpose(0, 2, 1, 3).reshape(b, tq, d)
+        gq = merge(gs @ np.swapaxes(kt, -1, -2))
         gk = _reduce_to(np.swapaxes(q4, -1, -2) @ gs, kt.shape).transpose(0, 1, 3, 2)
-        return gq, gk, gv
+        return gq, merge(gk), merge(gv)
 
-    return _node(ctx.transpose(0, 2, 1, 3).reshape(b, tq, d), (q, k, v), backward)
+    return _node(merge(ctx), (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -263,15 +263,9 @@ def train(
     valid_batches: dict[str, TaskBatches] = {}
     for spec in plan.tasks:
         splits = task_data[spec.name]
-        train_examples = splits.get("train", [])
-        if spec.subsample_fraction < 1.0:
-            train_examples = subsample(
-                train_examples, spec.subsample_fraction, [plan.seed, zlib.crc32(spec.name.encode())]
-            )
-        train_batches[spec.name] = TaskBatches(
-            spec, train_examples, vocab, plan,
-            shuffle_seed=[plan.seed, zlib.crc32(spec.name.encode())],
-        )
+        seed = [plan.seed, zlib.crc32(spec.name.encode())]
+        train_examples = subsample(splits.get("train", []), spec.subsample_fraction, seed)
+        train_batches[spec.name] = TaskBatches(spec, train_examples, vocab, plan, shuffle_seed=seed)
         if splits.get("valid"):
             valid_batches[spec.name] = TaskBatches(spec, splits["valid"], vocab, plan)
 

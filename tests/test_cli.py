@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,15 @@ class TestSplits:
         assert len(lines) == 80
         assert len((out / "all.valid.tsv").read_text().splitlines()) == 10
         assert len((out / "all.test.tsv").read_text().splitlines()) == 10
+
+    def test_lines_are_written_as_their_trimmed_fields(self, tmp_path):
+        src = tmp_path / "all.tsv"
+        src.write_text("".join(f" u {i} \t v {i}\n" for i in range(10)))
+        out = tmp_path / "splits"
+        assert main(["splits", "--input", str(src), "--out", str(out)]) == EXIT_OK
+        written = [line for split in ("train", "valid", "test")
+                   for line in (out / f"all.{split}.tsv").read_text().splitlines()]
+        assert sorted(written) == sorted(f"u {i}\tv {i}" for i in range(10))
 
     def test_subsample_train_scope(self, tmp_path):
         src = tmp_path / "all.tsv"
@@ -465,6 +475,27 @@ class TestUnreadableInputs:
         assert main(argv) == EXIT_DATA
         assert f"{paths[which]}: " in caplog.text
         assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("case", ["missing", "malformed_line"])
+    def test_unreadable_splits_input_is_data_error(self, case, tmp_path, caplog):
+        src, out = tmp_path / "all.tsv", tmp_path / "sp"
+        named = f"{src}: cannot read"
+        if case == "malformed_line":
+            src.write_text("".join(f"u {i}\tv {i}\n" for i in range(20)) + "no tab here\n")
+            named = f"{src}:21: expected 2 tab-separated fields"
+        assert main(["splits", "--input", str(src), "--out", str(out)]) == EXIT_DATA
+        assert named in caplog.text
+        assert not out.exists()
+
+    def test_non_utf8_train_file_is_data_error(self, synth_dir, tmp_path, caplog):
+        data = tmp_path / "synth"
+        shutil.copytree(synth_dir, data)
+        bad = data / "e6.train.tsv"
+        bad.write_bytes(bad.read_bytes() + b"caf\xe9\tjoy\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(data / "manifest.ini"), "--out", str(out)]) == EXIT_DATA
+        assert f"{bad}: not UTF-8 text" in caplog.text
+        assert not out.exists()
 
 
 class TestEvaluateCommand:

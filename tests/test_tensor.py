@@ -146,8 +146,8 @@ class TestOpGradients:
     def test_attention_gradients(self, n_heads, kv_batch):
         rng = np.random.default_rng(13)
         q = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        k = Tensor(rng.normal(size=(kv_batch, n_heads, 5, 4 // n_heads)), requires_grad=True)
-        v = Tensor(rng.normal(size=(kv_batch, n_heads, 5, 4 // n_heads)), requires_grad=True)
+        k = Tensor(rng.normal(size=(kv_batch, 5, 4)), requires_grad=True)
+        v = Tensor(rng.normal(size=(kv_batch, 5, 4)), requires_grad=True)
         bias = np.where(rng.random((2, 1, 1, 5)) < 0.3, -1e9, 0.0)
         bias[:, ..., 0] = 0.0
         up = rng.normal(size=(2, 3, 4))
@@ -411,7 +411,7 @@ def _split_heads(x, h):
 
 
 def _composed_attention(q, k, v, bias, n_heads):
-    q = _split_heads(q, n_heads)
+    q, k, v = (_split_heads(x, n_heads) for x in (q, k, v))
     b, h, tq, dh = q.shape
     scores = _batched_matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
     probs = _softmax_last_axis(scores + Tensor(bias))
@@ -473,13 +473,12 @@ class TestFusedNodes:
         else:
             bias = np.triu(np.full((tq, tk), -1e9), k=tk - tq + 1)[None, None]
         bk = b if kv_batch == "full" else 1
-        # K and V enter as split heads of (B, Tk, D) projections, as the model makes them.
+        # K and V enter as (B, Tk, D) projections, as the model makes them.
         leaves = [rng.normal(size=(b, tq, d)), rng.normal(size=(bk, tk, d)),
                   rng.normal(size=(bk, tk, d))]
 
         def build(attend):
-            return lambda q, k, v: attend(q, _split_heads(k, n_heads), _split_heads(v, n_heads),
-                                          bias, n_heads)
+            return lambda q, k, v: attend(q, k, v, bias, n_heads)
 
         self._check(dtype, build(T.attention), build(_composed_attention), leaves, (b, tq, d), 2)
 
@@ -495,6 +494,6 @@ class TestFusedNodes:
 
     def test_attention_rejects_non_finite_scores(self):
         q = Tensor(np.full((1, 2, 4), np.nan))
-        kv = Tensor(np.zeros((1, 2, 3, 2)))
+        kv = Tensor(np.zeros((1, 3, 4)))
         with pytest.raises(NumericError, match="non-finite"):
             T.attention(q, kv, kv, np.zeros((1, 1, 1, 3)), 2)

@@ -392,6 +392,40 @@ class TestTrain:
             train(plan, task_data, model, vocab)
 
 
+class TestSubsample:
+    """``TaskSpec.subsample_fraction`` thins one task's training examples, the same ones every run."""
+
+    @staticmethod
+    def _steps(fraction, monkeypatch):
+        # The (task, encoded batch) of every step of a one-epoch run with e6 at ``fraction``.
+        e6 = TaskSpec(name="e6", kind="classification", labels=E6_LABELS,
+                      subsample_fraction=fraction)
+        plan = TrainPlan(tasks=[GEN_SPEC, e6], batch_size=16, epochs=1, seed=0, max_len=16,
+                         lr=1e-3)
+        plan, task_data, vocab, model = make_setup(plan)
+        seen = []
+
+        def spy_step(model, optimizer, spec, batch, *args):
+            seen.append((spec.name, [batch[key].tobytes() for key in sorted(batch)]))
+            return run_step(model, optimizer, spec, batch, *args)
+
+        monkeypatch.setattr(trainer, "run_step", spy_step)
+        train(plan, task_data, model, vocab)
+        return len(task_data["e6"]["train"]), seen
+
+    def test_half_fraction_trains_half_the_examples_of_that_task_only(self, monkeypatch):
+        n, half = self._steps(0.5, monkeypatch)
+        _, again = self._steps(0.5, monkeypatch)
+        _, full = self._steps(1.0, monkeypatch)
+
+        def batches(steps, task):
+            return sorted(arrays for name, arrays in steps if name == task)
+
+        assert len(batches(half, "e6")) == math.ceil(round(0.5 * n) / 16) < len(batches(full, "e6"))
+        assert again == half
+        assert batches(half, "response") == batches(full, "response")
+
+
 class TestConvergence:
     def test_generation_only_loss_falls_below_fifth_of_initial(self):
         plan = TrainPlan(

@@ -29,11 +29,11 @@ from .data import (
 )
 from .decoding import BeamConfig, generate_file
 from .errors import ConfigError
-from .manifest import RunManifest, Variant, load_manifest
+from .manifest import RunManifest, load_manifest
 from .metrics import build_report, classification_scores
 from .model import ModelBundle, ModelConfig, init_parameters, load_checkpoint
-from .text import Vocab, encode, pad_batch, read_lines
-from .trainer import TrainPlan, build_shared_vocab, train
+from .text import Vocab, encode, make_dirs, pad_batch, read_lines, write_text
+from .trainer import build_shared_vocab, train
 
 log = logging.getLogger("emogen.cli")
 
@@ -50,7 +50,7 @@ def _versions() -> dict:
 
 def _write_echo(path: Path, command: str, payload: dict) -> None:
     doc = {"command": command, "versions": _versions(), **payload}
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n")
+    write_text(path, json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n")
 
 
 # -- synth -------------------------------------------------------------------
@@ -118,8 +118,7 @@ variants = R | R+e6 | R+e6+e2 | R+e6+e12 | R+e6+e2+e12
 
 def cmd_synth(out_dir, seed: int, size: int, cls_size: int | None = None) -> None:
     """Write synthetic TSVs with 8:1:1 splits, label files, and a manifest."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dirs(out_dir)
     cls_size = cls_size if cls_size is not None else max(10, size // 2)
     for idx, (stem, kind) in enumerate(_SYNTH_KINDS):
         n = size if kind == KIND_GENERATION else cls_size
@@ -128,18 +127,10 @@ def cmd_synth(out_dir, seed: int, size: int, cls_size: int | None = None) -> Non
         for split_name, chunk in (("train", tr), ("valid", va), ("test", te)):
             save_examples(out / f"{stem}.{split_name}.tsv", chunk)
         if kind != KIND_GENERATION:
-            (out / f"{stem}.labels.txt").write_text(
-                "\n".join(label_set(kind)) + "\n"
-            )
+            write_text(out / f"{stem}.labels.txt", "\n".join(label_set(kind)) + "\n")
         log.info("synth: wrote %s (%d examples)", stem, n)
-    (out / "manifest.ini").write_text(
-        _MANIFEST_TEMPLATE.format(
-            seed=seed,
-            e6_labels=", ".join(label_set("e6")),
-            e2_labels=", ".join(label_set("e2")),
-            e12_labels=", ".join(label_set("e12")),
-        )
-    )
+    labels = {f"{kind}_labels": ", ".join(label_set(kind)) for kind in ("e6", "e2", "e12")}
+    write_text(out / "manifest.ini", _MANIFEST_TEMPLATE.format(seed=seed, **labels))
     _write_echo(out / "echo.json", "synth",
                 {"args": {"out": str(out), "seed": seed, "size": size, "cls_size": cls_size}})
 
@@ -167,12 +158,9 @@ def cmd_splits(input_path, out_dir, seed: int, subsample_fraction: float = 1.0,
     if subsample_scope == "train":
         tr = subsample(tr, subsample_fraction, seed)
     stem = input_path.stem
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dirs(out_dir)
     for split_name, chunk in (("train", tr), ("valid", va), ("test", te)):
-        (out / f"{stem}.{split_name}.tsv").write_text(
-            "".join(line + "\n" for line in chunk)
-        )
+        write_text(out / f"{stem}.{split_name}.tsv", "".join(line + "\n" for line in chunk))
     _write_echo(out / f"{stem}.echo.json", "splits", {
         "args": {"input": str(input_path), "out": str(out), "seed": seed,
                  "subsample_fraction": subsample_fraction,
@@ -196,21 +184,13 @@ def _load_all_tasks(manifest: RunManifest) -> dict:
     return {spec.name: load_task(spec) for spec in manifest.tasks}
 
 
-def _train_one(plan: TrainPlan, task_data, vocab: Vocab, config: ModelConfig,
-               out_dir: Path) -> ModelBundle:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    vocab.save(out_dir / "vocab.txt")
-    model = init_parameters(config, plan.seed)
-    model, _ = train(plan, task_data, model, vocab, out_dir=out_dir)
-    return model
-
-
 def cmd_train(manifest_path, out_dir) -> None:
     manifest = load_manifest(manifest_path)
     out = Path(out_dir)
     task_data = _load_all_tasks(manifest)
     plan = manifest.build_plan()
-    _train_one(plan, task_data, *_vocab_and_config(manifest, task_data), out)
+    vocab, config = _vocab_and_config(manifest, task_data)
+    train(plan, task_data, init_parameters(config, plan.seed), vocab, out_dir=out)
     _write_echo(out / "echo.json", "train",
                 {"args": {"config": str(manifest.path), "out": str(out)},
                  "manifest": manifest.to_dict()})
@@ -268,7 +248,7 @@ def cmd_evaluate(hyp_path, ref_path, out_path, pred_path=None, gold_path=None,
     report = build_report(hyps, refs, pred=pred, gold=gold, labels=labels)
     doc = report.to_dict()
     out_path = Path(out_path)
-    out_path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_text(out_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     log.info("evaluate: %s", doc)
     _write_echo(Path(str(out_path) + ".echo.json"), "evaluate", {
         "args": {"hyp": str(hyp_path), "ref": str(ref_path), "out": str(out_path),
@@ -307,8 +287,8 @@ def evaluate_variant(model: ModelBundle, manifest: RunManifest, task_data,
     src = variant_dir / "test.src.txt"
     ref = variant_dir / "test.ref.txt"
     hyp = variant_dir / "test.hyp.txt"
-    src.write_text("".join(ex.utterance + "\n" for ex in test_examples))
-    ref.write_text("".join(ex.response + "\n" for ex in test_examples))
+    write_text(src, "".join(ex.utterance + "\n" for ex in test_examples))
+    write_text(ref, "".join(ex.response + "\n" for ex in test_examples))
     generate_file(model, vocab, src, hyp, manifest.beam)
     hyps = read_lines(hyp)
     refs = read_lines(ref)
@@ -351,8 +331,7 @@ def cmd_matrix(manifest_path, out_dir) -> list[dict]:
     task_data = _load_all_tasks(manifest)
     plans = [manifest.build_plan(variant) for variant in manifest.variants]
     vocab, config = _vocab_and_config(manifest, task_data)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dirs(out_dir)
     rows: list[dict] = []
     failure: Exception | None = None
     for variant, plan in zip(manifest.variants, plans):
@@ -360,7 +339,8 @@ def cmd_matrix(manifest_path, out_dir) -> list[dict]:
         try:
             log.info("matrix: training variant %s (tasks: %s)",
                      variant.name, [t.name for t in plan.tasks])
-            model = _train_one(plan, task_data, vocab, config, vdir)
+            model, _ = train(plan, task_data, init_parameters(config, plan.seed), vocab,
+                             out_dir=vdir)
             row = {"variant": variant.name}
             row.update(evaluate_variant(model, manifest, task_data, vocab, vdir))
             rows.append(row)
@@ -368,10 +348,8 @@ def cmd_matrix(manifest_path, out_dir) -> list[dict]:
             failure = e
             log.error("matrix: variant %s failed: %s", variant.name, e)
             break
-    (out / "report.json").write_text(
-        json.dumps(rows, sort_keys=True, indent=2) + "\n"
-    )
-    (out / "report.tsv").write_text(_report_tsv(rows))
+    write_text(out / "report.json", json.dumps(rows, sort_keys=True, indent=2) + "\n")
+    write_text(out / "report.tsv", _report_tsv(rows))
     _write_echo(out / "echo.json", "matrix",
                 {"args": {"config": str(manifest.path), "out": str(out)},
                  "manifest": manifest.to_dict()})

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .text import read_lines
+from .text import read_lines, write_text
 
 KIND_GENERATION = "generation"
 KIND_CLASSIFICATION = "classification"
@@ -198,12 +198,9 @@ def load_task(spec: TaskSpec) -> dict[str, list]:
 
 
 def save_examples(path, examples) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            if isinstance(ex, GenerationExample):
-                f.write(f"{ex.utterance}\t{ex.response}\n")
-            else:
-                f.write(f"{ex.text}\t{ex.label}\n")
+    write_text(path, "".join(
+        f"{ex.utterance}\t{ex.response}\n" if isinstance(ex, GenerationExample)
+        else f"{ex.text}\t{ex.label}\n" for ex in examples))
 
 
 def split_811(examples: list, seed: int) -> tuple[list, list, list]:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .text import BOS_ID, EOS_ID, ROLE_RESPONSE, TokenSeq, Vocab, encode
+from .tensor import _log_softmax
+from .text import BOS_ID, EOS_ID, ROLE_RESPONSE, TokenSeq, Vocab, encode, write_text
 
 NEG_INF = float("-inf")
 
@@ -40,11 +41,6 @@ class BeamConfig:
 class Hypothesis:
     ids: list[int]  # starts with BOS
     log_prob: float
-
-
-def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def banned_tokens(ids: list[int], n: int) -> set[int]:
@@ -91,7 +87,7 @@ def beam_search(model, utterance: TokenSeq, config: BeamConfig) -> TokenSeq:
     while live and len(finished) < k:
         last_live = live
         logits = model.next_token_logits(ctx, [h.ids for h in live])
-        logp = _log_softmax_rows(np.asarray(logits, dtype=np.float64))
+        logp = _log_softmax(np.asarray(logits, dtype=np.float64), -1)
         scores = logp + np.array([[h.log_prob] for h in live])
         for bi, h in enumerate(live):
             for t in banned_tokens(h.ids, config.no_repeat_ngram):
@@ -145,7 +141,5 @@ def generate_file(model, vocab: Vocab, input_path, output_path, config: BeamConf
         except (UnicodeDecodeError, DataError) as e:
             raise DataError(f"{input_path}:{lineno}: decoding failed: {e}") from e
         outputs.append(" ".join(vocab.decode(result.ids)))
-    with open(output_path, "w", encoding="utf-8") as f:
-        for line in outputs:
-            f.write(line + "\n")
+    write_text(output_path, "".join(line + "\n" for line in outputs))
     return len(outputs)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 from . import tensor as T
 from .tensor import Tensor
-from .text import BOS_ID, PAD_ID
+from .text import BOS_ID, PAD_ID, replacing
 
 _MASK_VALUE = -1e9
 _FILL = {"zeros": 0.0, "ones": 1.0}
@@ -389,17 +389,6 @@ def _entries(config: ModelConfig) -> list[dict]:
         entries.append({"name": name, "shape": list(shape), "offset": offset, "nbytes": nbytes})
         offset += nbytes
     return entries
-
-
-@contextlib.contextmanager
-def replacing(path):
-    """Yield a temporary name that replaces ``path`` only when the block succeeds."""
-    tmp = Path(f"{path}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(path, bundle: ModelBundle, meta: dict | None = None) -> None:

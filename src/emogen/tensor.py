@@ -377,10 +377,13 @@ def gelu(a: Tensor) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    x = a.data
+def _log_softmax(x: np.ndarray, axis: int) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    out = _log_softmax(a.data, axis)
 
     def backward(g):
         return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)

@@ -1,4 +1,4 @@
-"""Vocabulary, tokenization, sequence encoding and batching.
+"""Vocabulary, tokenization, sequence encoding and batching, and run-file I/O.
 
 Word-level tokens only: text is lowercased and split on whitespace with
 punctuation as separate tokens. Four ids are reserved and never reassigned:
@@ -7,9 +7,12 @@ PAD=0, BOS=1, EOS=2, UNK=3.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,6 +47,36 @@ def read_lines(path) -> list[str]:
         raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
 
 
+@contextlib.contextmanager
+def replacing(path):
+    """Yield a temporary name that replaces ``path`` only when the block succeeds."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_text(path, text: str) -> None:
+    """Replace ``path`` whole with UTF-8 ``text``; a failure is a ConfigError naming the path."""
+    try:
+        with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot write: {e.strerror}") from e
+
+
+def make_dirs(path) -> Path:
+    """Make directory ``path`` and its parents; a failure is a ConfigError naming the path."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot make directory: {e.strerror}") from e
+    return path
+
+
 class Vocab:
     """Bijective token/id map over the non-reserved entries."""
 
@@ -72,9 +105,7 @@ class Vocab:
         return out
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for token in self.id_to_token:
-                f.write(token + "\n")
+        write_text(path, "".join(token + "\n" for token in self.id_to_token))
 
     @classmethod
     def load(cls, path) -> "Vocab":

@@ -26,7 +26,7 @@ import numpy as np
 from .data import KIND_GENERATION, TaskSpec, subsample
 from .errors import ConfigError, DataError, NumericError
 from .losses import batch_classification_nll, label_smoothed_nll
-from .model import ModelBundle, replacing, save_checkpoint
+from .model import ModelBundle, save_checkpoint
 from .optim import AdamW, clip_global_norm
 from . import tensor as T
 from .text import (
@@ -36,8 +36,11 @@ from .text import (
     TokenSeq,
     Vocab,
     encode,
+    make_dirs,
     pad_batch,
+    replacing,
     shift_right,
+    write_text,
 )
 
 log = logging.getLogger("emogen.trainer")
@@ -237,16 +240,16 @@ def train(
 ) -> tuple[ModelBundle, LossReport]:
     """Run the full multi-task loop; returns the model and its loss history.
 
-    When ``out_dir`` is given, writes per-epoch checkpoints (optional), a
-    best-by-validation-generation-loss checkpoint, a steps.jsonl file, one
-    line as each step ends, and a metrics.jsonl file, one line as each epoch
-    ends.
+    When ``out_dir`` is given, makes it and writes vocab.txt, per-epoch
+    checkpoints (optional), a best-by-validation-generation-loss checkpoint,
+    a steps.jsonl file, one line as each step ends, and a metrics.jsonl
+    file, one line as each epoch ends.
     """
-    out_path = Path(out_dir) if out_dir is not None else None
+    out_path = make_dirs(out_dir) if out_dir is not None else None
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+        vocab.save(out_path / "vocab.txt")
         for name in ("steps.jsonl", "metrics.jsonl"):
-            (out_path / name).write_text("")
+            write_text(out_path / name, "")
 
     model.seed_dropout([plan.seed, 0x5EED])
     model.train()

@@ -1,11 +1,15 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emogen
 from emogen.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from emogen.data import load_classification_file, load_generation_file, label_set
 from emogen.errors import ConfigError
@@ -496,6 +500,68 @@ class TestUnreadableInputs:
         assert main(["train", "--config", str(data / "manifest.ini"), "--out", str(out)]) == EXIT_DATA
         assert f"{bad}: not UTF-8 text" in caplog.text
         assert not out.exists()
+
+
+class TestUnwritableOutputs:
+    """An output path that cannot be made or written exits 2, names the path and leaves no file."""
+
+    @pytest.mark.parametrize("command", ["synth", "splits", "train", "matrix"])
+    def test_out_naming_a_file_is_config_error(self, command, synth_dir, tmp_path, caplog,
+                                               capsys):
+        src = tmp_path / "all.tsv"
+        src.write_text("".join(f"u {i}\tv {i}\n" for i in range(20)))
+        out = tmp_path / "afile"
+        out.write_text("kept\n")
+        argv = {"synth": ["synth", "--size", "20"],
+                "splits": ["splits", "--input", str(src)],
+                "train": ["train", "--config", str(synth_dir / "manifest.ini")],
+                "matrix": ["matrix", "--config", str(synth_dir / "manifest.ini")]}[command]
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert f"{out}: cannot make directory" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["generate", "evaluate"])
+    @pytest.mark.parametrize("parent", ["missing", "a_file"])
+    def test_output_under_an_unusable_directory_is_config_error(self, command, parent,
+                                                                tiny_run_dir, tmp_path, caplog):
+        src = tmp_path / "utt.txt"
+        src.write_text("i feel glum about the news\n")
+        nodir = tmp_path / "nodir"
+        if parent == "a_file":
+            nodir.write_text("kept\n")
+        out = nodir / "x.txt"
+        if command == "generate":
+            argv = ["generate", "--checkpoint", str(tiny_run_dir / "best.ckpt"),
+                    "--input", str(src), "--output", str(out), "--max-len", "16"]
+        else:
+            argv = ["evaluate", "--hyp", str(src), "--ref", str(src), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"{out}: cannot write" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["utt.txt"] + (["nodir"] if parent == "a_file" else []))
+        if parent == "a_file":
+            assert nodir.read_text() == "kept\n"
+
+    def test_splits_writes_utf8_under_an_ascii_locale(self, tmp_path):
+        src = tmp_path / "all.tsv"
+        src.write_text("".join(f"café {i}\tnaïve {i}\n" for i in range(20)), encoding="utf-8")
+        package_root = Path(emogen.__file__).resolve().parents[1]
+        written = {}
+        for name, env in (("ascii", {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}),
+                          ("utf8", {"PYTHONUTF8": "1"})):
+            out = tmp_path / name
+            env = {**os.environ, **env, "LC_ALL": "C", "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run(
+                [sys.executable, "-m", "emogen.cli", "splits", "--input", str(src),
+                 "--out", str(out)], env=env, capture_output=True, timeout=120)
+            assert proc.returncode == EXIT_OK, proc.stderr.decode("utf-8", "replace")
+            written[name] = {p.name: p.read_bytes() for p in sorted(out.glob("*.tsv"))}
+        assert written["ascii"] == written["utf8"]
+        assert len(written["utf8"]) == 3
+        assert "café".encode("utf-8") in written["utf8"]["all.train.tsv"]
 
 
 class TestEvaluateCommand:

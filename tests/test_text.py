@@ -1,8 +1,11 @@
+import errno
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emogen import text as text_module
 from emogen.errors import ConfigError, DataError
 from emogen.text import (
     BOS_ID,
@@ -17,6 +20,7 @@ from emogen.text import (
     pad_batch,
     shift_right,
     tokenize,
+    write_text,
 )
 
 
@@ -64,6 +68,34 @@ class TestBuildVocab:
         path.write_text("a\nb\n")
         with pytest.raises(DataError):
             Vocab.load(path)
+
+
+class TestWriteText:
+    def test_write_that_fails_midway_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        write_text(path, "previous\n")
+
+        class TornFile:
+            """Writes the first half of the text, then fails like a full disk."""
+
+            def __init__(self, *args, **kwargs):
+                self.f = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.f.write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(text_module, "open", TornFile, raising=False)
+        with pytest.raises(ConfigError, match=f"{path}: cannot write: No space left on device"):
+            write_text(path, "café\n" * 100)
+        assert path.read_bytes() == b"previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
 class TestEncode:

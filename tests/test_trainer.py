@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from emogen.cli import EXIT_OK, main
 from emogen.data import E6_LABELS, TaskSpec, gen_synthetic, split_811
 from emogen.errors import ConfigError, DataError, NumericError
 from emogen.losses import label_smoothed_nll
@@ -280,6 +281,19 @@ class TestTrain:
         assert (out / "metrics.jsonl").exists()
         for epoch in range(plan.epochs):
             assert (out / f"epoch_{epoch:03d}.ckpt").exists()
+
+    def test_out_dir_holds_the_vocab_its_checkpoints_name(self, tmp_path):
+        plan, task_data, vocab, model = make_setup()
+        out = tmp_path / "run"
+        train(plan, task_data, model, vocab, out_dir=out)
+        vocab.save(tmp_path / "saved.txt")
+        assert (out / "vocab.txt").read_bytes() == (tmp_path / "saved.txt").read_bytes()
+        assert load_checkpoint(out / "best.ckpt")[1]["vocab"] == "vocab.txt"
+        src = tmp_path / "utt.txt"
+        src.write_text("i feel glum about the news\n")
+        assert main(["generate", "--checkpoint", str(out / "best.ckpt"), "--input", str(src),
+                     "--output", str(tmp_path / "hyp.txt"), "--max-len", "16"]) == EXIT_OK
+        assert len((tmp_path / "hyp.txt").read_text().splitlines()) == 1
 
     def test_metrics_streamed_as_each_epoch_ends(self, tmp_path, monkeypatch):
         plan = TrainPlan(tasks=[GEN_SPEC, E6_SPEC], batch_size=16, epochs=4, seed=0,
